@@ -33,7 +33,7 @@ __all__ = [
 
 
 class RangeCapExceeded(ValueError):
-    """Exact range enumeration takes 2**n steps and is refused above the cap."""
+    """Exact range enumeration can take up to 2**n steps and is refused above the cap."""
 
     def __init__(self, n: int, cap: int):
         self.n = n
@@ -138,35 +138,37 @@ def image_table(m: BoolMatrix) -> list[int]:
     return tbl
 
 
-def matrix_range(m: BoolMatrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[int]:
-    """The exact range {v.m : v any subset vector}, by enumerating all 2**n
-    inputs. Contains the zero vector (image of the empty subset). Raises
-    RangeCapExceeded when n is above ``cap``."""
+def _range_set(m: BoolMatrix, cap: int) -> set[int]:
     if m.n > cap:
         raise RangeCapExceeded(m.n, cap)
-    return frozenset(image_table(m))
+    images = {0}
+    for r in m.rows:
+        # images is closed under union, so a row already in it adds nothing
+        if r not in images:
+            images.update([x | r for x in images])
+    return images
+
+
+def matrix_range(m: BoolMatrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[int]:
+    """The exact range {v.m : v any subset vector}, i.e. the unions of subsets
+    of rows, built one row at a time in at most min(n * |range|, 2**(n+1))
+    steps. Contains the zero vector (image of the empty subset). Raises
+    RangeCapExceeded when n is above ``cap``."""
+    return frozenset(_range_set(m, cap))
 
 
 def rank_gf2(m: BoolMatrix) -> int:
-    """Row rank over GF(2) by Gaussian elimination on bit-packed rows."""
-    work = [r for r in m.rows if r]
-    rank = 0
-    for col in range(m.n):
-        pivot = None
-        for i in range(rank, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
+    """Row rank over GF(2): each row is reduced against a basis keyed by
+    leading bit, and joins the basis when it does not reduce to zero."""
+    basis: dict[int, int] = {}
+    for r in m.rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in basis:
+                basis[top] = r
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            r ^= basis[top]
+    return len(basis)
 
 
 def strongly_connected_components(m: BoolMatrix) -> list[list[int]]:

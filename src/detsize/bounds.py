@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -14,9 +15,9 @@ from .boolmat import (
     _TABLE_LIMIT,
     DEFAULT_RANGE_CAP,
     BoolMatrix,
+    _range_set,
     cyclicity,
     image_table,
-    matrix_range,
     rank_gf2,
     transition_matrices,
 )
@@ -25,6 +26,9 @@ from .fsa import Fsa
 
 DEFAULT_MONOID_CAP = 100_000
 DEFAULT_ESTIMATE_CONSTANT = 2
+
+# subset complexity enumerates all 2**|alphabet| splits, so it is refused above this
+_MAX_SPLIT_SYMBOLS = 16
 
 __all__ = [
     "DEFAULT_MONOID_CAP",
@@ -120,17 +124,12 @@ def monoid_closure(
     dimension. Enumeration stops with ``capped`` set once the element count
     would exceed ``cap``, in which case exactly ``cap`` elements are kept.
     """
-    if mats:
-        n = mats[0].n
-        for m in mats:
-            if m.n != n:
-                raise ValueError(f"dimension mismatch: {m.n} vs {n}")
-        if dim is not None and dim != n:
-            raise ValueError(f"dimension mismatch: {dim} vs {n}")
-    elif dim is None:
+    n = mats[0].n if mats else dim
+    if n is None:
         raise ValueError("dim is required when there are no generators")
-    else:
-        n = dim
+    for d in [m.n for m in mats] + ([] if dim is None else [dim]):
+        if d != n:
+            raise ValueError(f"dimension mismatch: {d} vs {n}")
     elements, capped = _closure_rows([m.rows for m in mats], n, cap)
     return MonoidClosure(
         elements=frozenset(BoolMatrix(n, rows) for rows in elements),
@@ -141,33 +140,89 @@ def monoid_closure(
     )
 
 
+class _Analysis:
+    """What the bounds share for one automaton, each computed once: the
+    matrices, the per-symbol range sizes, ranks and cyclicities, and the
+    monoid closures keyed by split."""
+
+    def __init__(self, a: Fsa, range_cap: int = DEFAULT_RANGE_CAP):
+        self.a = a
+        self.mats = transition_matrices(a)
+        self.range_cap = range_cap
+        self.ranks = {sym: rank_gf2(m) for sym, m in self.mats.items()}
+        self.cyclicities = {sym: cyclicity(m) for sym, m in self.mats.items()}
+        self._closures: dict[tuple[str, ...], tuple[int, bool]] = {}
+
+    @cached_property
+    def range_sizes(self) -> dict[str, int]:
+        # lazy: it raises RangeCapExceeded above the range cap
+        return {sym: len(_range_set(m, self.range_cap)) for sym, m in self.mats.items()}
+
+    def factor(self, split: Sequence[str]) -> int:
+        """1 plus the range sizes of the symbols outside ``split``."""
+        return 1 + sum(self.range_sizes[sym] for sym in self.a.alphabet if sym not in split)
+
+    def monoid_size(self, split: tuple[str, ...], cap: int) -> int | None:
+        """Size of the monoid generated by ``split``; None when it exceeds
+        ``cap``. A complete closure answers every cap and one capped at c
+        answers every cap up to c; a larger cap recomputes the closure."""
+        known = self._closures.get(split)
+        if known is None or (known[1] and cap > known[0]):
+            closure = monoid_closure([self.mats[s] for s in split], cap, symbols=split, dim=self.a.n)
+            known = self._closures[split] = (closure.size, closure.capped)
+        size, capped = known
+        return None if capped or size > cap else size
+
+    def subset_complexity(self, monoid_cap: int) -> tuple[int, tuple[str, ...]]:
+        if len(self.a.alphabet) > _MAX_SPLIT_SYMBOLS:
+            raise ValueError("alphabet too large for exhaustive split enumeration")
+        best: int | None = None
+        witness: tuple[str, ...] = ()
+        for split in _split_preference(self.a.alphabet):
+            factor = self.factor(split)
+            # only a closure with factor * size < best matters, so any
+            # closure that fits under this cap improves on best
+            cap = monoid_cap if best is None else min(monoid_cap, (best - 1) // factor)
+            if best is not None and cap < 1:
+                continue
+            size = self.monoid_size(split, cap)
+            if size is not None:
+                best, witness = factor * size, split
+        assert best is not None
+        return best, witness
+
+    def all_but_one(self, target: str, monoid_cap: int, estimate_constant: int) -> tuple[int, int]:
+        n = self.a.n
+        cyc = self.cyclicities[target]
+        ceiling = cyc + n * n - 2 * n + 2
+        # the certified bound is the subset-complexity term at split {target},
+        # with the ceiling substituted for a monoid size that caps
+        factor = self.factor((target,))
+        size = self.monoid_size((target,), min(monoid_cap, ceiling + 1))
+        certified = factor * (ceiling if size is None else min(size, ceiling))
+        ranks = [r for sym, r in self.ranks.items() if sym != target]
+        worst = max((2 ** (-(-r * r // 4) + estimate_constant * r) for r in ranks), default=1)
+        return certified, len(self.a.alphabet) * (cyc + n * n) * worst
+
+
 def monoid_bound(a: Fsa, cap: int = DEFAULT_MONOID_CAP) -> int | None:
     """Size of the full transition monoid, an upper bound on the subset
     automaton size; None when enumeration hit the cap."""
-    mats = transition_matrices(a)
-    closure = monoid_closure(
-        [mats[sym] for sym in a.alphabet], cap, symbols=a.alphabet, dim=a.n
-    )
-    return None if closure.capped else closure.size
+    return _Analysis(a).monoid_size(a.alphabet, cap)
 
 
 def range_bound(a: Fsa, range_cap: int = DEFAULT_RANGE_CAP) -> int:
     """1 plus the sum of the per-symbol range sizes, an upper bound on the
     subset automaton size: every non-initial subset state is in the image of
     the matrix for the last symbol read."""
-    mats = transition_matrices(a)
-    return 1 + sum(len(matrix_range(mats[sym], range_cap)) for sym in a.alphabet)
+    return _Analysis(a, range_cap).factor(())
 
 
 def _split_preference(alphabet: tuple[str, ...]) -> list[tuple[str, ...]]:
     """All symbol subsets, ordered by cardinality then lexicographically; the
     returned tuples keep alphabet order."""
-    splits: list[tuple[str, ...]] = []
-    for size in range(len(alphabet) + 1):
-        group = [tuple(c) for c in combinations(alphabet, size)]
-        group.sort(key=lambda js: tuple(sorted(js)))
-        splits.extend(group)
-    return splits
+    splits = [c for size in range(len(alphabet) + 1) for c in combinations(alphabet, size)]
+    return sorted(splits, key=lambda js: (len(js), sorted(js)))
 
 
 def subset_complexity(
@@ -179,38 +234,13 @@ def subset_complexity(
     (1 + sum of range sizes outside J) * (size of the monoid generated inside J),
     an upper bound on the subset automaton size.
 
-    All 2**|alphabet| splits are enumerated; a split whose monoid enumeration
-    caps is excluded from the minimum (the empty split never caps, so a value
-    always exists). Returns the bound and the minimizing split, ties broken by
-    smaller split then lexicographic symbol order.
+    All 2**|alphabet| splits are enumerated, so alphabets above 16 symbols
+    raise ValueError; a split whose monoid enumeration caps is excluded from
+    the minimum (the empty split never caps, so a value always exists).
+    Returns the bound and the minimizing split, ties broken by smaller split
+    then lexicographic symbol order.
     """
-    if len(a.alphabet) > 16:
-        raise ValueError("alphabet too large for exhaustive split enumeration")
-    mats = transition_matrices(a)
-    range_sizes = {sym: len(matrix_range(mats[sym], range_cap)) for sym in a.alphabet}
-
-    best: int | None = None
-    witness: tuple[str, ...] = ()
-    for split in _split_preference(a.alphabet):
-        inside = set(split)
-        factor = 1 + sum(range_sizes[sym] for sym in a.alphabet if sym not in inside)
-        if best is not None:
-            # the closure only matters while factor * size can still beat best
-            needed = (best - 1) // factor
-            if needed < 1:
-                continue
-            cap = min(monoid_cap, needed)
-        else:
-            cap = monoid_cap
-        closure = monoid_closure([mats[sym] for sym in split], cap, symbols=split, dim=a.n)
-        if closure.capped:
-            continue
-        value = factor * closure.size
-        if best is None or value < best:
-            best = value
-            witness = split
-    assert best is not None
-    return best, witness
+    return _Analysis(a, range_cap).subset_complexity(monoid_cap)
 
 
 def unary_monoid_bounds(a: Fsa) -> tuple[int, int, int]:
@@ -219,13 +249,12 @@ def unary_monoid_bounds(a: Fsa) -> tuple[int, int, int]:
     c <= size <= c + n**2 - 2n + 2; ``exact`` is the enumerated size."""
     if len(a.alphabet) != 1:
         raise ValueError("unary bounds require a one-symbol alphabet")
-    mat = transition_matrices(a)[a.alphabet[0]]
-    lower = cyclicity(mat)
+    analysis = _Analysis(a)
+    lower = analysis.cyclicities[a.alphabet[0]]
     upper = lower + a.n * a.n - 2 * a.n + 2
-    closure = monoid_closure([mat], cap=upper + 1, symbols=a.alphabet, dim=a.n)
-    if closure.capped:
+    exact = analysis.monoid_size(a.alphabet, upper + 1)
+    if exact is None:
         raise RuntimeError("unary monoid exceeded its theoretical bound")
-    exact = closure.size
     if not lower <= exact <= upper:
         raise RuntimeError(
             f"unary monoid sandwich violated: {lower} <= {exact} <= {upper} fails"
@@ -254,23 +283,7 @@ def all_but_one_bound(
     """
     if target not in a.alphabet:
         raise ValueError(f"unknown target symbol {target!r}")
-    mats = transition_matrices(a)
-    others = [sym for sym in a.alphabet if sym != target]
-    factor = 1 + sum(len(matrix_range(mats[sym], range_cap)) for sym in others)
-
-    n = a.n
-    cyc = cyclicity(mats[target])
-    ceiling = cyc + n * n - 2 * n + 2
-    closure = monoid_closure([mats[target]], min(monoid_cap, ceiling + 1), symbols=(target,), dim=n)
-    monoid_term = ceiling if closure.capped else min(closure.size, ceiling)
-    certified = factor * monoid_term
-
-    worst = 1
-    for sym in others:
-        r = rank_gf2(mats[sym])
-        worst = max(worst, 2 ** (-(-r * r // 4) + estimate_constant * r))
-    estimate = len(a.alphabet) * (cyc + n * n) * worst
-    return certified, estimate
+    return _Analysis(a, range_cap).all_but_one(target, monoid_cap, estimate_constant)
 
 
 @dataclass(frozen=True)
@@ -313,38 +326,29 @@ def full_report(
     """Populate every bound for ``a``, running the subset construction under
     its cap to record the actual size when feasible. Individual quantities
     that hit a cap are reported as None instead of raising."""
-    mats = transition_matrices(a)
+    analysis = _Analysis(a, range_cap)
     ranges_ok = a.n <= range_cap
-
-    per_symbol = []
-    for sym in a.alphabet:
-        m = mats[sym]
-        per_symbol.append(
-            SymbolStats(
-                symbol=sym,
-                rank=rank_gf2(m),
-                range_size=len(matrix_range(m, range_cap)) if ranges_ok else None,
-                cyclicity=cyclicity(m),
-            )
-        )
+    per_symbol = tuple(
+        SymbolStats(sym, analysis.ranks[sym], analysis.range_sizes[sym] if ranges_ok else None, analysis.cyclicities[sym])
+        for sym in a.alphabet
+    )
 
     try:
         subset_size = subset_construct(a, max_states).n
     except BlowUpError:
         subset_size = None
 
-    mbound = monoid_bound(a, monoid_cap)
-    rbound = range_bound(a, range_cap) if ranges_ok else None
+    mbound = analysis.monoid_size(a.alphabet, monoid_cap)
+    rbound = analysis.factor(()) if ranges_ok else None
 
-    if ranges_ok:
-        sc_value, sc_split = subset_complexity(a, monoid_cap, range_cap)
-    else:
-        sc_value, sc_split = None, None
+    sc_value = sc_split = None
+    if ranges_ok and len(a.alphabet) <= _MAX_SPLIT_SYMBOLS:
+        sc_value, sc_split = analysis.subset_complexity(monoid_cap)
 
     certified = target = estimate = None
-    if ranges_ok and a.alphabet:
+    if ranges_ok:
         for sym in a.alphabet:
-            c, e = all_but_one_bound(a, sym, monoid_cap, range_cap, estimate_constant)
+            c, e = analysis.all_but_one(sym, monoid_cap, estimate_constant)
             if certified is None or c < certified:
                 certified, target, estimate = c, sym, e
 
@@ -363,7 +367,7 @@ def full_report(
         all_but_one_target=target,
         all_but_one_estimate=estimate,
         all_but_one_constant=estimate_constant,
-        per_symbol=tuple(per_symbol),
+        per_symbol=per_symbol,
     )
 
 
@@ -387,15 +391,7 @@ def report_to_dict(report: BoundReport) -> dict:
             "value": report.all_but_one_estimate,
             "constant": report.all_but_one_constant,
         },
-        "per_symbol": [
-            {
-                "symbol": s.symbol,
-                "rank": s.rank,
-                "range_size": s.range_size,
-                "cyclicity": s.cyclicity,
-            }
-            for s in report.per_symbol
-        ],
+        "per_symbol": [asdict(s) for s in report.per_symbol],
     }
 
 
@@ -416,10 +412,7 @@ def report_from_dict(data: dict) -> BoundReport:
         all_but_one_target=data["all_but_one_certified"]["target"],
         all_but_one_estimate=data["all_but_one_estimate"]["value"],
         all_but_one_constant=data["all_but_one_estimate"]["constant"],
-        per_symbol=tuple(
-            SymbolStats(s["symbol"], s["rank"], s["range_size"], s["cyclicity"])
-            for s in data["per_symbol"]
-        ),
+        per_symbol=tuple(SymbolStats(**s) for s in data["per_symbol"]),
     )
 
 
@@ -438,13 +431,15 @@ def _fmt(value: int | None, cap_note: str) -> str:
 def render_report_text(report: BoundReport) -> str:
     """Key-value text form, one field per line; when the subset construction
     completed, each bound gets a PASS/FAIL soundness line."""
+    range_note = f"range cap exceeded (n={report.n} > {report.range_cap})"
+    sc_note = range_note if report.range_bound is None else "unavailable (alphabet too large for the split search)"
     lines = [
         f"n: {report.n}",
         f"alphabet: {' '.join(report.alphabet)}",
         f"subset_size: {_fmt(report.subset_size, f'aborted at cap {report.subset_cap}')}",
         f"monoid_bound: {_fmt(report.monoid_bound, f'capped at {report.monoid_cap}')}",
-        f"range_bound: {_fmt(report.range_bound, f'range cap exceeded (n={report.n} > {report.range_cap})')}",
-        f"subset_complexity: {_fmt(report.subset_complexity, f'range cap exceeded (n={report.n} > {report.range_cap})')}",
+        f"range_bound: {_fmt(report.range_bound, range_note)}",
+        f"subset_complexity: {_fmt(report.subset_complexity, sc_note)}",
         f"subset_complexity_split: {'-' if report.subset_split is None else '{' + ','.join(report.subset_split) + '}'}",
         f"all_but_one_certified: {_fmt(report.all_but_one_certified, 'unavailable')}",
         f"all_but_one_target: {report.all_but_one_target or '-'}",
@@ -452,10 +447,8 @@ def render_report_text(report: BoundReport) -> str:
         f"all_but_one_constant: {report.all_but_one_constant}",
     ]
     for s in report.per_symbol:
-        rng = "range cap exceeded" if s.range_size is None else str(s.range_size)
-        lines.append(
-            f"symbol {s.symbol}: rank={s.rank} range_size={rng} cyclicity={s.cyclicity}"
-        )
+        rng = _fmt(s.range_size, "range cap exceeded")
+        lines.append(f"symbol {s.symbol}: rank={s.rank} range_size={rng} cyclicity={s.cyclicity}")
     if report.subset_size is not None:
         for name, bound in (
             ("monoid_bound", report.monoid_bound),

@@ -143,19 +143,21 @@ def _cmd_gen(args) -> int:
     elif family == "moore-mod":
         a = gen_modified_moore(need_n())
     elif family == "random":
-        a = gen_random(
-            RandomNfaSpec(
-                n=need_n(),
-                alphabet_size=args.sigma,
-                density=args.density,
-                initial_density=args.initial_density,
-                final_density=args.final_density,
-                seed=args.seed,
-                force_trim=args.trim,
-                force_total=args.total,
-                force_codeterministic=args.codeterministic,
-            )
+        spec = RandomNfaSpec(
+            n=need_n(),
+            alphabet_size=args.sigma,
+            density=args.density,
+            initial_density=args.initial_density,
+            final_density=args.final_density,
+            seed=args.seed,
+            force_trim=args.trim,
+            force_total=args.total,
+            force_codeterministic=args.codeterministic,
         )
+        try:
+            a = gen_random(spec)
+        except RuntimeError as exc:  # the forcing flags left no sample after every retry
+            raise _CliError(str(exc)) from exc
     else:
         if args.base is None:
             raise _CliError(f"gen {family} requires --base")

@@ -137,6 +137,15 @@ class TestRange:
         assert info.value.n == 6
         assert info.value.cap == 5
 
+    def test_matches_image_table(self):
+        # image_table enumerates all 2**n inputs, independently of the
+        # row-by-row union that matrix_range builds
+        rng = random.Random(11)
+        cases = [BoolMatrix.identity(n) for n in range(9)] + [BoolMatrix.zeros(n) for n in range(9)]
+        cases += [random_matrix(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
+        for m in cases:
+            assert matrix_range(m) == frozenset(image_table(m)), m.rows
+
     def test_image_table_matches_apply(self):
         rng = random.Random(4)
         m = random_matrix(rng, 6)

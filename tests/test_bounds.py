@@ -288,6 +288,20 @@ class TestFullReport:
         assert report.subset_size is None
         assert "aborted at cap 100" in render_report_text(report)
 
+    def test_large_alphabet_reports_split_search_unavailable(self):
+        syms = [chr(ord("a") + k) for k in range(17)]
+        a = Fsa.make([("p", s, "q") for s in syms] + [("q", "a", "p")], initial=["p"], final=["q"])
+        with pytest.raises(ValueError, match="alphabet too large"):
+            subset_complexity(a)
+        report = full_report(a)
+        assert report.subset_complexity is None and report.subset_split is None
+        assert report.monoid_bound is not None and report.range_bound is not None
+        assert report.all_but_one_certified is not None
+        assert all(s.range_size is not None for s in report.per_symbol)
+        assert report_from_json(report_to_json(report)) == report
+        line = next(l for l in render_report_text(report).splitlines() if l.startswith("subset_complexity:"))
+        assert "unavailable" in line and "range cap" not in line
+
     def test_range_cap_reported_per_field(self):
         report = full_report(gen_moore(5), range_cap=4)
         assert report.range_bound is None

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import detsize
 from detsize.bounds import full_report, report_from_dict, report_to_dict
 from detsize.cli import main
 from detsize.fsa import accepts, parse_fsa, serialize_fsa
 from detsize.generators import gen_meyer_fischer, gen_modified_moore, gen_moore, gen_universal
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m detsize`` in a child process that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(detsize.__file__)))
+    return subprocess.run([sys.executable, "-m", "detsize", *args], capture_output=True, text=True, env=env)
 
 
 def write(tmp_path, name, automaton) -> str:
@@ -38,6 +46,12 @@ class TestGen:
 
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["gen", "moore"]) == 2
+
+    def test_random_retries_exhausted_is_usage_error(self):
+        result = run_cli("gen", "random", "--n", "3", "--initial-density", "0", "--trim")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: retries exhausted")
+        assert "Traceback" not in result.stderr
 
     def test_gadgets_from_base_file(self, tmp_path, capsys):
         base = write(tmp_path, "u.fsa", gen_universal())
@@ -138,6 +152,20 @@ class TestBounds:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    def test_large_alphabet_keeps_other_fields(self, tmp_path):
+        path = tmp_path / "wide.fsa"
+        path.write_text("".join(f"p {chr(ord('a') + k)} q\n" for k in range(17)) + "q a p\n@initial p\n@final q\n")
+        result = run_cli("bounds", str(path))
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        fields = dict(line.split(": ", 1) for line in result.stdout.splitlines())
+        assert fields["subset_complexity"].startswith("unavailable")
+        assert "range cap" not in fields["subset_complexity"]
+        assert fields["subset_complexity_split"] == "-"
+        for name in ("subset_size", "monoid_bound", "range_bound", "all_but_one_certified", "all_but_one_estimate"):
+            assert fields[name].isdigit(), name
+        assert sum(line.startswith("symbol ") for line in result.stdout.splitlines()) == 17
+
     def test_tree_format_round_trips(self, tmp_path, capsys):
         path = write(tmp_path, "u.fsa", gen_universal())
         assert main(["bounds", path, "--format", "tree"]) == 0
@@ -195,10 +223,6 @@ class TestEquiv:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "detsize", "gen", "universal"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_cli("gen", "universal")
         assert result.returncode == 0
         assert result.stdout == "q a q\nq b q\n@initial q\n@final q\n"

@@ -3,19 +3,12 @@ universality checks, and state complexity."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .boolmat import _TABLE_LIMIT, image_table, transition_matrices
-from .fsa import (
-    Fsa,
-    Word,
-    complete_with_dead_state,
-    is_codeterministic,
-    is_deterministic,
-    is_trim,
-)
+from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
 
@@ -89,6 +82,20 @@ class SubsetAutomaton:
         return self.final_flags[self.run(word)]
 
 
+def _subset_steps(a: Fsa) -> tuple[list[Callable[[int], int]], int, int]:
+    """The subset-step function of each symbol in alphabet order, mapping a
+    subset bitmask to its successor, plus the initial subset and the final mask."""
+    mats = transition_matrices(a)
+    if a.n <= _TABLE_LIMIT:
+        steps = [image_table(mats[sym]).__getitem__ for sym in a.alphabet]
+    else:
+        steps = [mats[sym].apply for sym in a.alphabet]
+    idx = a.state_index
+    init = sum(1 << idx[q] for q in a.initial)
+    final_mask = sum(1 << idx[q] for q in a.final)
+    return steps, init, final_mask
+
+
 def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAutomaton:
     """Determinize by exploring accessible subsets with a LIFO stack.
 
@@ -99,21 +106,7 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    mats = transition_matrices(a)
-    if a.n <= _TABLE_LIMIT:
-        tables = [image_table(mats[sym]) for sym in a.alphabet]
-        steps = [t.__getitem__ for t in tables]
-    else:
-        steps = [mats[sym].apply for sym in a.alphabet]
-
-    idx = a.state_index
-    init = 0
-    for q in a.initial:
-        init |= 1 << idx[q]
-    final_mask = 0
-    for q in a.final:
-        final_mask |= 1 << idx[q]
-
+    steps, init, final_mask = _subset_steps(a)
     index: dict[int, int] = {init: 0}
     order: list[int] = [init]
     rows: dict[int, list[int]] = {}
@@ -180,58 +173,80 @@ def subset_to_dfa(s: SubsetAutomaton) -> Dfa:
     return Dfa(s.base.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 
+def _refine(transitions, final_flags) -> list[int]:
+    """Block of each state of a total DFA, two states sharing a block iff no
+    word tells them apart; ids are numbered by first appearance in state order.
+
+    Hopcroft's algorithm (1971) on inverse transition lists: a pending splitter
+    cuts every block holding states that step into it and states that do not.
+    The smaller part of a cut block becomes a new block and a new splitter
+    (the smaller-half rule: O(sigma n log n) in all)."""
+    preds: list[list[list[int]]] = [[[] for _ in transitions] for _ in transitions[0]]
+    for q, row in enumerate(transitions):
+        for inverse, r in zip(preds, row):
+            inverse[r].append(q)
+    block_of = [int(final) for final in final_flags]
+    blocks = [{q for q, b in enumerate(block_of) if not b}, {q for q, b in enumerate(block_of) if b}]
+    pending = [int(len(blocks[1]) < len(blocks[0]))]
+    while pending:
+        splitter = tuple(blocks[pending.pop()])
+        for inverse in preds:
+            touched: dict[int, list[int]] = {}
+            for r in splitter:
+                for q in inverse[r]:
+                    touched.setdefault(block_of[q], []).append(q)
+            for b, hit in touched.items():
+                members = blocks[b]
+                if len(hit) == len(members):
+                    continue
+                part = set(hit)
+                if 2 * len(part) > len(members):
+                    part = members - part
+                members -= part
+                for q in part:
+                    block_of[q] = len(blocks)
+                pending.append(len(blocks))
+                blocks.append(part)
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in block_of]
+
+
 def minimize(d: Dfa) -> Dfa:
     """Minimal total DFA for the same language, unique up to renaming.
 
-    Restricts to accessible states, then merges indistinguishable states by
-    partition refinement. An automaton with no reachable accepting state
-    collapses to the 1-state all-rejecting DFA. When the input is already
-    minimal it is returned unchanged.
+    Restricts to accessible states, numbered in breadth-first order, then
+    merges indistinguishable states by partition refinement (``_refine``);
+    state ``m<i>`` is the i-th block met in that order. An automaton with no
+    reachable accepting state collapses to the 1-state all-rejecting DFA.
+    When the input is already minimal it is returned unchanged.
     """
     start = next(iter(d.initial))
     succ: dict[tuple[str, str], str] = {(src, sym): dst for src, sym, dst in d.transitions}
-
     order = [start]
-    seen = {start}
+    index = {start: 0}
     for q in order:
         for sym in d.alphabet:
             r = succ[(q, sym)]
-            if r not in seen:
-                seen.add(r)
+            if r not in index:
+                index[r] = len(order)
                 order.append(r)
-
-    def regroup(key) -> dict[str, int]:
-        ids: dict = {}
-        out = {}
-        for q in order:
-            k = key(q)
-            if k not in ids:
-                ids[k] = len(ids)
-            out[q] = ids[k]
-        return out
-
-    block = regroup(lambda q: q in d.final)
-    while True:
-        refined = regroup(lambda q: (block[q],) + tuple(block[succ[(q, sym)]] for sym in d.alphabet))
-        if max(refined.values()) == max(block.values()):
-            block = refined
-            break
-        block = refined
-
-    k = max(block.values()) + 1
+    rows = [[index[succ[(q, sym)]] for sym in d.alphabet] for q in order]
+    block = _refine(rows, [q in d.final for q in order])
+    k = max(block) + 1
     if k == d.n:
         return d
     names = [f"m{i}" for i in range(k)]
     trans = frozenset(
-        (names[block[q]], sym, names[block[succ[(q, sym)]]]) for q in order for sym in d.alphabet
+        (names[block[i]], sym, names[block[j]]) for i, row in enumerate(rows) for sym, j in zip(d.alphabet, row)
     )
-    final = frozenset(names[block[q]] for q in order if q in d.final)
+    final = frozenset(names[block[i]] for i, q in enumerate(order) if q in d.final)
     return Dfa(d.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 
 def state_complexity(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Number of states of the minimal total DFA equivalent to ``a``."""
-    return minimize(subset_to_dfa(subset_construct(a, max_states))).n
+    s = subset_construct(a, max_states)
+    return max(_refine(s.transitions, s.final_flags)) + 1
 
 
 def _widen(a: Fsa, alphabet: tuple[str, ...]) -> Fsa:
@@ -240,31 +255,52 @@ def _widen(a: Fsa, alphabet: tuple[str, ...]) -> Fsa:
     return Fsa(alphabet, a.states, a.initial, a.final, a.transitions)
 
 
-def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word | None:
-    """A shortest word over the union alphabet accepted by exactly one of the
-    two automata, or None when they are equivalent."""
-    union = a.alphabet + tuple(sym for sym in b.alphabet if sym not in set(a.alphabet))
-    sa = subset_construct(_widen(a, union), max_states)
-    sb = subset_construct(_widen(b, union), max_states)
-    start = (0, 0)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        ia, ib = pair
-        if sa.final_flags[ia] != sb.final_flags[ib]:
-            word: list[str] = []
-            node = pair
-            while parent[node] is not None:
-                node, sym = parent[node]
-                word.append(sym)
-            return tuple(reversed(word))
-        for k, sym in enumerate(union):
-            nxt = (sa.transitions[ia][k], sb.transitions[ib][k])
-            if nxt not in parent:
-                parent[nxt] = (pair, sym)
-                queue.append(nxt)
+def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable, max_states: int) -> Word | None:
+    """Breadth-first search over tuples of subsets, one per automaton of
+    ``sides`` (as ``_subset_steps`` gives them), tested by ``is_witness`` when
+    discovered. Successors come in alphabet order, so the first witness found
+    is reached by the shortlex-least witness word. Discovering more than
+    ``max_states`` distinct subsets of one automaton raises BlowUpError."""
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1")
+    start = tuple(init for _, init, _ in sides)
+    if is_witness(start):
+        return ()
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
+    seen = [{init} for init in start]
+    queue = [start]
+    for node in queue:
+        successors = zip(*[[step(s) for step in steps] for s, (steps, _, _) in zip(node, sides)])
+        for sym, nxt in zip(alphabet, successors):
+            if nxt in parent:
+                continue
+            for s, subsets in zip(nxt, seen):
+                if s not in subsets:
+                    if len(subsets) >= max_states:
+                        raise BlowUpError(len(subsets), max_states)
+                    subsets.add(s)
+            parent[nxt] = (node, sym)
+            if is_witness(nxt):
+                word = [sym]
+                while parent[node] is not None:
+                    node, sym = parent[node]
+                    word.append(sym)
+                return tuple(reversed(word))
+            queue.append(nxt)
     return None
+
+
+def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word | None:
+    """The shortlex-least word over the union alphabet accepted by exactly one
+    of the two automata, or None when they are equivalent.
+
+    The search runs over pairs of subsets and stops at the first witness;
+    ``max_states`` bounds the distinct subsets it discovers of each automaton.
+    """
+    union = a.alphabet + tuple(sym for sym in b.alphabet if sym not in set(a.alphabet))
+    sides = [_subset_steps(_widen(a, union)), _subset_steps(_widen(b, union))]
+    final_a, final_b = sides[0][2], sides[1][2]
+    return _shortest_word(union, sides, lambda node: bool(node[0] & final_a) != bool(node[1] & final_b), max_states)
 
 
 def equivalent(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -273,31 +309,15 @@ def equivalent(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool:
 
 
 def universality_witness(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word | None:
-    """A shortest rejected word, or None when the language is universal.
+    """The shortlex-least rejected word, or None when the language is universal.
 
-    The automaton is first completed with a dead state; the subset automaton
-    then accepts everything iff every generated subset contains a final state,
-    and a breadth-first search reads a witness off the path to the first
-    subset without one.
+    A word is rejected iff the subset it reaches holds no final state; the
+    empty subset, reached where transitions are missing, is one of those. The
+    search runs over subsets and stops at the first witness; ``max_states``
+    bounds the distinct subsets it discovers.
     """
-    s = subset_construct(complete_with_dead_state(a), max_states)
-    parent: dict[int, tuple[int, str] | None] = {0: None}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        if not s.final_flags[i]:
-            word: list[str] = []
-            node = i
-            while parent[node] is not None:
-                node, sym = parent[node]
-                word.append(sym)
-            return tuple(reversed(word))
-        for k, sym in enumerate(s.base.alphabet):
-            j = s.transitions[i][k]
-            if j not in parent:
-                parent[j] = (i, sym)
-                queue.append(j)
-    return None
+    side = _subset_steps(a)
+    return _shortest_word(a.alphabet, [side], lambda node: not node[0] & side[2], max_states)
 
 
 def is_universal(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool:

@@ -194,11 +194,33 @@ class TestUniversalCmd:
         word = () if witness == "<eps>" else tuple(witness.split())
         assert not accepts(gen_moore(3), word)
 
+    def test_moore24_answers_under_default_cap(self, tmp_path):
+        result = run_cli("universal", write(tmp_path, "m24.fsa", gen_moore(24)))
+        assert result.returncode == 1
+        assert result.stdout == "not universal: <eps>\n"
+
+    def test_cap_without_witness_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "t.fsa"
+        path.write_text("q0 a q1\nq0 b q0\nq1 a q0\nq1 b q1\n@initial q0\n@final q0\n@final q1\n")
+        assert main(["universal", str(path), "--max-states", "1"]) == 3
+        assert "blow-up abort: 1 states found" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_file_vs_itself(self, tmp_path, capsys):
         path = write(tmp_path, "m3.fsa", gen_moore(3))
         assert main(["equiv", path, path]) == 0
+
+    def test_cap_without_witness_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "m8.fsa", gen_moore(8))
+        assert main(["equiv", path, path, "--max-states", "100"]) == 3
+        assert "blow-up abort: 100 states found" in capsys.readouterr().err
+
+    def test_witness_before_cap(self, tmp_path, capsys):
+        p1 = write(tmp_path, "m20.fsa", gen_moore(20))
+        p2 = write(tmp_path, "u.fsa", gen_universal())
+        assert main(["equiv", p1, p2, "--max-states", "10"]) == 1
+        assert capsys.readouterr().out == "not equivalent: <eps>\n"
 
     def test_moore_vs_universal_witness(self, tmp_path, capsys):
         p1 = write(tmp_path, "m3.fsa", gen_moore(3))

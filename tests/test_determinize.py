@@ -44,6 +44,18 @@ def random_fsa(seed: int, *, n: int = 5, sigma: int = 2, density: float = 0.3) -
     return gen_random(RandomNfaSpec(n=n, alphabet_size=sigma, density=density, seed=seed))
 
 
+def universal_moore(n: int) -> Fsa:
+    """Moore's automaton made total by a b-edge from its last state back to q1,
+    with every state final: universal, with more than 2**(n-1) subsets."""
+    m = gen_moore(n)
+    return Fsa(m.alphabet, m.states, m.initial, frozenset(m.states), m.transitions | {(f"q{n}", "b", "q1")})
+
+
+def first_word(alphabet, max_len, predicate):
+    """The shortlex-least word of length at most ``max_len`` satisfying ``predicate``."""
+    return next((w for w in words_upto(alphabet, max_len) if predicate(w)), None)
+
+
 class TestSubsetConstruct:
     def test_dfa_input_keeps_state_count(self):
         d = subset_to_dfa(subset_construct(random_fsa(0)))
@@ -250,6 +262,38 @@ class TestEquivalent:
         assert accepts(a, w) != accepts(u, w)
         assert not equivalent(a, u)
 
+    def test_witness_found_before_cap(self):
+        # the empty word tells them apart, so no subset beyond the start is needed
+        assert distinguishing_word(gen_moore(20), gen_universal(), max_states=10) == ()
+
+    def test_cap_fires_without_witness(self):
+        a = universal_moore(12)
+        with pytest.raises(BlowUpError) as info:
+            equivalent(a, a, max_states=100)
+        assert info.value.states_found == info.value.max_states == 100
+
+    def test_cap_counts_subsets_per_automaton(self):
+        # Moore 6 against its minimal DFA: 64 subsets on each side, 64 pairs
+        a = gen_moore(6)
+        d = minimize(subset_to_dfa(subset_construct(a)))
+        assert equivalent(a, d, max_states=64)
+        with pytest.raises(BlowUpError):
+            equivalent(a, d, max_states=63)
+
+    def test_rejects_nonpositive_cap(self):
+        with pytest.raises(ValueError):
+            distinguishing_word(gen_moore(3), gen_moore(3), max_states=0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_witness_is_shortlex_least(self, seed):
+        a, b = random_fsa(seed, n=3), random_fsa(seed + 100, n=3)
+        w = distinguishing_word(a, b)
+        first = first_word(a.alphabet, 6, lambda x: nfa_accepts_by_sets(a, x) != nfa_accepts_by_sets(b, x))
+        if first is not None:
+            assert w == first
+        else:
+            assert w is None or len(w) > 6
+
     def test_distinct_alphabets_use_union(self):
         a = Fsa.make([("q0", "a", "q0")], ["q0"], ["q0"])
         b = Fsa.make([("q0", "b", "q0")], ["q0"], ["q0"])
@@ -295,6 +339,30 @@ class TestUniversal:
     def test_empty_language(self):
         a = Fsa.make([("q0", "a", "q0")], ["q0"], [])
         assert not is_universal(a)
+
+    def test_moore24_witness_found_before_cap(self):
+        # the full subset automaton has 2**24 states; the empty word is rejected
+        assert universality_witness(gen_moore(24), max_states=2**18) == ()
+
+    def test_cap_fires_without_witness(self):
+        with pytest.raises(BlowUpError) as info:
+            is_universal(universal_moore(12), max_states=100)
+        assert info.value.states_found == info.value.max_states == 100
+
+    def test_rejects_nonpositive_cap(self):
+        with pytest.raises(ValueError):
+            universality_witness(gen_moore(3), max_states=0)
+
+    def test_missing_transitions_reach_the_empty_subset(self):
+        a = Fsa.make([("q0", "a", "q0")], ["q0"], ["q0"], alphabet=["a", "b"])
+        assert universality_witness(a) == ("b",)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_witness_is_shortlex_least(self, seed):
+        a = random_fsa(seed, n=3, density=0.5)
+        first = first_word(a.alphabet, 8, lambda x: not nfa_accepts_by_sets(a, x))
+        # three states give at most 8 subsets, so a rejected word, if any, has length below 8
+        assert universality_witness(a) == first
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_enumeration(self, seed):

@@ -16,9 +16,6 @@ from .fsa import Fsa
 
 DEFAULT_RANGE_CAP = 20
 
-# full 2**n image tables are only worth building below this dimension
-_TABLE_LIMIT = 16
-
 __all__ = [
     "DEFAULT_RANGE_CAP",
     "RangeCapExceeded",

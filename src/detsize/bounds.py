@@ -12,12 +12,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .boolmat import (
-    _TABLE_LIMIT,
     DEFAULT_RANGE_CAP,
     BoolMatrix,
     _range_set,
     cyclicity,
-    image_table,
     rank_gf2,
     transition_matrices,
 )
@@ -54,9 +52,11 @@ __all__ = [
 @dataclass(frozen=True)
 class MonoidClosure:
     """A set of Boolean matrices containing the identity and, unless capped,
-    closed under right-multiplication by the generators."""
+    closed under right-multiplication by the generators, held as row tuples
+    of dimension ``n``; ``elements`` is built from them on first access."""
 
-    elements: frozenset[BoolMatrix]
+    rows: frozenset[tuple[int, ...]]
+    n: int
     generator_symbols: tuple[str, ...]
     generators: tuple[BoolMatrix, ...]
     capped: bool
@@ -64,45 +64,42 @@ class MonoidClosure:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> frozenset[BoolMatrix]:
+        return frozenset(BoolMatrix(self.n, r) for r in self.rows)
+
+
+class _ImageTable(dict):
+    """v -> v.g for one generator g, each entry computed on first lookup."""
+
+    def __init__(self, g: BoolMatrix):
+        self.apply = g.apply
+
+    def __missing__(self, v: int) -> int:
+        return self.setdefault(v, self.apply(v))
 
 
 def _closure_rows(
-    generators: Sequence[tuple[int, ...]], n: int, cap: int
+    generators: Sequence[BoolMatrix], n: int, cap: int
 ) -> tuple[set[tuple[int, ...]], bool]:
     """Breadth-first closure from the identity under right-multiplication,
     on raw row tuples. Stops (capped) as soon as the element count would
     exceed ``cap``; generator order fixes the traversal, so the capped
-    outcome is deterministic."""
+    outcome is deterministic. x.g looks each row of x up in g's image table.
+    A row of x is a unit vector or a row of some y.h, so in the range of h:
+    a table never holds more than n plus the summed range sizes entries."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if n <= _TABLE_LIMIT:
-        tables = [image_table(BoolMatrix(n, g)) for g in generators]
-
-        def product(rows: tuple[int, ...], k: int) -> tuple[int, ...]:
-            t = tables[k]
-            return tuple(t[r] for r in rows)
-
-    else:
-        def product(rows: tuple[int, ...], k: int) -> tuple[int, ...]:
-            g = generators[k]
-            out = []
-            for r in rows:
-                acc = 0
-                while r:
-                    low = r & -r
-                    acc |= g[low.bit_length() - 1]
-                    r ^= low
-                out.append(acc)
-            return tuple(out)
-
+    lookups = [_ImageTable(g).__getitem__ for g in generators]
     identity = tuple(1 << i for i in range(n))
     elements: set[tuple[int, ...]] = {identity}
     queue: deque[tuple[int, ...]] = deque([identity])
     while queue:
         current = queue.popleft()
-        for k in range(len(generators)):
-            nxt = product(current, k)
+        for lookup in lookups:
+            nxt = tuple(map(lookup, current))
             if nxt not in elements:
                 if len(elements) >= cap:
                     return elements, True
@@ -130,9 +127,12 @@ def monoid_closure(
     for d in [m.n for m in mats] + ([] if dim is None else [dim]):
         if d != n:
             raise ValueError(f"dimension mismatch: {d} vs {n}")
-    elements, capped = _closure_rows([m.rows for m in mats], n, cap)
+    if symbols and len(symbols) != len(mats):
+        raise ValueError(f"{len(symbols)} symbols for {len(mats)} generators")
+    rows, capped = _closure_rows(mats, n, cap)
     return MonoidClosure(
-        elements=frozenset(BoolMatrix(n, rows) for rows in elements),
+        rows=frozenset(rows),
+        n=n,
         generator_symbols=tuple(symbols),
         generators=tuple(mats),
         capped=capped,

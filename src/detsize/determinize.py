@@ -7,10 +7,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .boolmat import _TABLE_LIMIT, image_table, transition_matrices
+from .boolmat import image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
+
+# _subset_steps builds full 2**n image tables up to this dimension only
+_TABLE_LIMIT = 16
 
 __all__ = [
     "DEFAULT_MAX_STATES",

@@ -184,6 +184,31 @@ def powers_closure(rows: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
         seen.add(current)
 
 
+def relation_closure(
+    generators: list[frozenset[tuple[int, int]]], n: int, limit: int
+) -> list[frozenset[tuple[int, int]]]:
+    """The monoid generated by relations on range(n), each a frozenset of
+    (i, j) pairs: breadth-first from the identity, composing on the right
+    with the generators in order. Returns at most ``limit`` elements, in
+    discovery order."""
+    successors = [{i: [j for p, j in g if p == i] for i in range(n)} for g in generators]
+    identity = frozenset((i, i) for i in range(n))
+    order = [identity]
+    seen = {identity}
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for succ in successors:
+            y = frozenset((i, k) for i, j in x for k in succ[j])
+            if y not in seen:
+                if len(order) == limit:
+                    return order
+                seen.add(y)
+                order.append(y)
+    return order
+
+
 def fsa_equal_up_to_state_order(a: Fsa, b: Fsa) -> bool:
     return (
         a.alphabet == b.alphabet

@@ -29,7 +29,7 @@ from detsize.generators import (
     gen_universal,
 )
 
-from oracles import powers_closure
+from oracles import powers_closure, relation_closure
 
 
 def cycle_matrix(k: int) -> BoolMatrix:
@@ -87,6 +87,43 @@ class TestMonoidClosure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             monoid_closure([BoolMatrix.identity(2), BoolMatrix.identity(3)], cap=10)
+
+    @pytest.mark.parametrize("n", [4, 9, 17, 20])
+    def test_matches_relation_oracle(self, n):
+        # seeded relations of expected out-degree 2.5; each n sees the cap
+        # both hit and not hit, so the traversal order is pinned too
+        outcomes = set()
+        for k in (1, 2, 3):
+            rng = random.Random(100 * n + k)
+            pairs = [
+                frozenset((i, j) for i in range(n) for j in range(n) if rng.random() < 2.5 / n)
+                for _ in range(k)
+            ]
+            gens = [BoolMatrix.from_pairs(n, p) for p in pairs]
+            for cap in (7, 500):
+                expected = relation_closure(pairs, n, cap + 1)
+                c = monoid_closure(gens, cap=cap)
+                assert c.capped == (len(expected) > cap)
+                assert c.size == min(len(expected), cap)
+                got = {
+                    frozenset((i, j) for i, r in enumerate(e.rows) for j in range(n) if r >> j & 1)
+                    for e in c.elements
+                }
+                assert got == set(expected[:cap])
+                outcomes.add(c.capped)
+        assert outcomes == {False, True}
+
+    def test_elements_built_on_first_access(self):
+        c = monoid_closure([cycle_matrix(5), BoolMatrix.identity(5)], cap=100)
+        assert c.size == 5
+        assert "elements" not in vars(c)
+        assert c.elements == {BoolMatrix(5, r) for r in c.rows}
+
+    def test_symbols_must_name_every_generator(self):
+        with pytest.raises(ValueError):
+            monoid_closure([cycle_matrix(3)], cap=10, symbols=("a", "b"))
+        c = monoid_closure([cycle_matrix(3)], cap=10, symbols=("a",))
+        assert c.generator_symbols == ("a",)
 
 
 class TestMonoidBound:

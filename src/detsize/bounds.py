@@ -52,13 +52,15 @@ __all__ = [
 @dataclass(frozen=True)
 class MonoidClosure:
     """A set of Boolean matrices containing the identity and, unless capped,
-    closed under right-multiplication by the generators, held as row tuples
-    of dimension ``n``; ``elements`` is built from them on first access."""
+    closed under right-multiplication by the generators.
+
+    ``rows`` holds each element as a row tuple of dimension ``n``; ``capped``
+    is set when enumeration stopped at ``cap`` elements. ``size`` counts the
+    elements, and ``elements`` builds them as ``BoolMatrix`` on first access.
+    """
 
     rows: frozenset[tuple[int, ...]]
     n: int
-    generator_symbols: tuple[str, ...]
-    generators: tuple[BoolMatrix, ...]
     capped: bool
     cap: int
 
@@ -112,7 +114,6 @@ def monoid_closure(
     mats: Sequence[BoolMatrix],
     cap: int = DEFAULT_MONOID_CAP,
     *,
-    symbols: Sequence[str] = (),
     dim: int | None = None,
 ) -> MonoidClosure:
     """Closure of the given matrices under Boolean product, with the identity.
@@ -127,17 +128,8 @@ def monoid_closure(
     for d in [m.n for m in mats] + ([] if dim is None else [dim]):
         if d != n:
             raise ValueError(f"dimension mismatch: {d} vs {n}")
-    if symbols and len(symbols) != len(mats):
-        raise ValueError(f"{len(symbols)} symbols for {len(mats)} generators")
     rows, capped = _closure_rows(mats, n, cap)
-    return MonoidClosure(
-        rows=frozenset(rows),
-        n=n,
-        generator_symbols=tuple(symbols),
-        generators=tuple(mats),
-        capped=capped,
-        cap=cap,
-    )
+    return MonoidClosure(rows=frozenset(rows), n=n, capped=capped, cap=cap)
 
 
 class _Analysis:
@@ -168,7 +160,7 @@ class _Analysis:
         answers every cap up to c; a larger cap recomputes the closure."""
         known = self._closures.get(split)
         if known is None or (known[1] and cap > known[0]):
-            closure = monoid_closure([self.mats[s] for s in split], cap, symbols=split, dim=self.a.n)
+            closure = monoid_closure([self.mats[s] for s in split], cap, dim=self.a.n)
             known = self._closures[split] = (closure.size, closure.capped)
         size, capped = known
         return None if capped or size > cap else size
@@ -191,7 +183,7 @@ class _Analysis:
         assert best is not None
         return best, witness
 
-    def all_but_one(self, target: str, monoid_cap: int, estimate_constant: int) -> tuple[int, int]:
+    def all_but_one(self, target: str, monoid_cap: int) -> tuple[int, int]:
         n = self.a.n
         cyc = self.cyclicities[target]
         ceiling = cyc + n * n - 2 * n + 2
@@ -201,7 +193,7 @@ class _Analysis:
         size = self.monoid_size((target,), min(monoid_cap, ceiling + 1))
         certified = factor * (ceiling if size is None else min(size, ceiling))
         ranks = [r for sym, r in self.ranks.items() if sym != target]
-        worst = max((2 ** (-(-r * r // 4) + estimate_constant * r) for r in ranks), default=1)
+        worst = max((2 ** (-(-r * r // 4) + DEFAULT_ESTIMATE_CONSTANT * r) for r in ranks), default=1)
         return certified, len(self.a.alphabet) * (cyc + n * n) * worst
 
 
@@ -267,7 +259,6 @@ def all_but_one_bound(
     target: str,
     monoid_cap: int = DEFAULT_MONOID_CAP,
     range_cap: int = DEFAULT_RANGE_CAP,
-    estimate_constant: int = DEFAULT_ESTIMATE_CONSTANT,
 ) -> tuple[int, int]:
     """(certified, estimate) bounds that single out one target symbol.
 
@@ -279,11 +270,12 @@ def all_but_one_bound(
 
     estimate: |alphabet| * (c + n**2) * max over other symbols of
     2**(ceil(rank**2 / 4) + C * rank), the asymptotic shape of the bound with
-    an explicit constant C. It is reported for guidance and never asserted.
+    the fixed constant C = DEFAULT_ESTIMATE_CONSTANT. It is reported for
+    guidance and never asserted.
     """
     if target not in a.alphabet:
         raise ValueError(f"unknown target symbol {target!r}")
-    return _Analysis(a, range_cap).all_but_one(target, monoid_cap, estimate_constant)
+    return _Analysis(a, range_cap).all_but_one(target, monoid_cap)
 
 
 @dataclass(frozen=True)
@@ -321,11 +313,12 @@ def full_report(
     monoid_cap: int = DEFAULT_MONOID_CAP,
     range_cap: int = DEFAULT_RANGE_CAP,
     max_states: int = DEFAULT_MAX_STATES,
-    estimate_constant: int = DEFAULT_ESTIMATE_CONSTANT,
 ) -> BoundReport:
     """Populate every bound for ``a``, running the subset construction under
     its cap to record the actual size when feasible. Individual quantities
-    that hit a cap are reported as None instead of raising."""
+    that hit a cap are reported as None instead of raising. The all-but-one
+    estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
+    report records as ``all_but_one_constant``."""
     analysis = _Analysis(a, range_cap)
     ranges_ok = a.n <= range_cap
     per_symbol = tuple(
@@ -348,7 +341,7 @@ def full_report(
     certified = target = estimate = None
     if ranges_ok:
         for sym in a.alphabet:
-            c, e = analysis.all_but_one(sym, monoid_cap, estimate_constant)
+            c, e = analysis.all_but_one(sym, monoid_cap)
             if certified is None or c < certified:
                 certified, target, estimate = c, sym, e
 
@@ -366,7 +359,7 @@ def full_report(
         all_but_one_certified=certified,
         all_but_one_target=target,
         all_but_one_estimate=estimate,
-        all_but_one_constant=estimate_constant,
+        all_but_one_constant=DEFAULT_ESTIMATE_CONSTANT,
         per_symbol=per_symbol,
     )
 

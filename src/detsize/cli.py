@@ -43,12 +43,11 @@ class _CliError(Exception):
     pass
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
+def _out_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    parser.add_argument("--monoid-cap", type=int, default=DEFAULT_MONOID_CAP)
-    parser.add_argument("--range-cap", type=int, default=DEFAULT_RANGE_CAP)
-    parser.add_argument("--format", choices=("text", "tree"), default="text")
+
+
+def _eps_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-eps-removal",
         action="store_true",
@@ -63,39 +62,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="emit a generated automaton")
-    p_gen.add_argument(
-        "family",
-        choices=("universal", "moore", "mf", "moore-mod", "random", "gadget-union", "gadget-mf"),
-    )
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--t", type=int, help="gadget-mf tail size")
-    p_gen.add_argument("--base", metavar="PATH", help="base automaton for gadgets")
-    p_gen.add_argument("--sigma", type=int, default=2, help="random alphabet size")
-    p_gen.add_argument("--density", type=float, default=0.3)
-    p_gen.add_argument("--initial-density", type=float, default=0.5)
-    p_gen.add_argument("--final-density", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--trim", action="store_true")
-    p_gen.add_argument("--total", action="store_true")
-    p_gen.add_argument("--codeterministic", action="store_true")
-    _common_options(p_gen)
+    gen = sub.add_parser("gen", help="emit a generated automaton")
+    families = gen.add_subparsers(dest="family", required=True)
 
-    for name, help_text in (
-        ("determinize", "run the subset construction"),
-        ("minimize", "determinize and minimize"),
-        ("state-complexity", "print the minimal equivalent DFA size"),
-        ("bounds", "emit the full bound report"),
-        ("universal", "decide universality"),
+    def family(name: str, make) -> argparse.ArgumentParser:
+        p = families.add_parser(name)
+        p.set_defaults(run=_cmd_gen, make=make)
+        _out_option(p)
+        return p
+
+    family("universal", lambda args: gen_universal())
+    for name, make in (("moore", gen_moore), ("mf", gen_meyer_fischer), ("moore-mod", gen_modified_moore)):
+        family(name, lambda args, make=make: make(args.n)).add_argument("--n", type=int, required=True)
+    p = family("random", _gen_random)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--sigma", type=int, default=2, help="alphabet size")
+    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--initial-density", type=float, default=0.5)
+    p.add_argument("--final-density", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
+    for flag in ("--trim", "--total", "--codeterministic"):
+        p.add_argument(flag, action="store_true")
+    for name, make in (
+        ("gadget-union", lambda args: gen_union_gadget(_load(args, args.base))),
+        ("gadget-mf", lambda args: gen_mf_gadget(_load(args, args.base), args.t)),
+    ):
+        p = family(name, make)
+        p.add_argument("--base", metavar="PATH", required=True, help="base automaton")
+        _eps_option(p)
+        if name == "gadget-mf":
+            p.add_argument("--t", type=int, required=True, help="tail size")
+
+    for name, run, help_text in (
+        ("determinize", _cmd_determinize, "run the subset construction"),
+        ("minimize", _cmd_determinize, "determinize and minimize"),
+        ("state-complexity", _cmd_state_complexity, "print the minimal equivalent DFA size"),
+        ("bounds", _cmd_bounds, "emit the full bound report"),
+        ("universal", _cmd_universal, "decide universality"),
+        ("equiv", _cmd_equiv, "decide language equivalence of two automata"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", metavar="FILE")
-        _common_options(p)
-
-    p_eq = sub.add_parser("equiv", help="decide language equivalence of two automata")
-    p_eq.add_argument("input_a", metavar="FILE_A")
-    p_eq.add_argument("input_b", metavar="FILE_B")
-    _common_options(p_eq)
+        p.set_defaults(run=run)
+        if name == "equiv":
+            p.add_argument("input_a", metavar="FILE_A")
+            p.add_argument("input_b", metavar="FILE_B")
+        else:
+            p.add_argument("input", metavar="FILE")
+        _out_option(p)
+        _eps_option(p)
+        p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+        if name == "bounds":
+            p.add_argument("--monoid-cap", type=int, default=DEFAULT_MONOID_CAP)
+            p.add_argument("--range-cap", type=int, default=DEFAULT_RANGE_CAP)
+            p.add_argument("--format", choices=("text", "tree"), default="text")
     return parser
 
 
@@ -127,55 +146,33 @@ def _format_word(word: tuple[str, ...]) -> str:
     return " ".join(word) if word else "<eps>"
 
 
-def _cmd_gen(args) -> int:
-    def need_n() -> int:
-        if args.n is None:
-            raise _CliError(f"gen {args.family} requires --n")
-        return args.n
+def _gen_random(args) -> Fsa:
+    spec = RandomNfaSpec(
+        n=args.n,
+        alphabet_size=args.sigma,
+        density=args.density,
+        initial_density=args.initial_density,
+        final_density=args.final_density,
+        seed=args.seed,
+        force_trim=args.trim,
+        force_total=args.total,
+        force_codeterministic=args.codeterministic,
+    )
+    try:
+        return gen_random(spec)
+    except RuntimeError as exc:  # the forcing flags left no sample after every retry
+        raise _CliError(str(exc)) from exc
 
-    family = args.family
-    if family == "universal":
-        a = gen_universal()
-    elif family == "moore":
-        a = gen_moore(need_n())
-    elif family == "mf":
-        a = gen_meyer_fischer(need_n())
-    elif family == "moore-mod":
-        a = gen_modified_moore(need_n())
-    elif family == "random":
-        spec = RandomNfaSpec(
-            n=need_n(),
-            alphabet_size=args.sigma,
-            density=args.density,
-            initial_density=args.initial_density,
-            final_density=args.final_density,
-            seed=args.seed,
-            force_trim=args.trim,
-            force_total=args.total,
-            force_codeterministic=args.codeterministic,
-        )
-        try:
-            a = gen_random(spec)
-        except RuntimeError as exc:  # the forcing flags left no sample after every retry
-            raise _CliError(str(exc)) from exc
-    else:
-        if args.base is None:
-            raise _CliError(f"gen {family} requires --base")
-        base = _load(args, args.base)
-        if family == "gadget-union":
-            a = gen_union_gadget(base)
-        else:
-            if args.t is None:
-                raise _CliError("gen gadget-mf requires --t")
-            a = gen_mf_gadget(base, args.t)
-    _write(args, serialize_fsa(a))
+
+def _cmd_gen(args) -> int:
+    _write(args, serialize_fsa(args.make(args)))
     return EXIT_OK
 
 
-def _cmd_determinize(args, minimal: bool) -> int:
+def _cmd_determinize(args) -> int:
     a = _load(args, args.input)
     d = subset_to_dfa(subset_construct(a, args.max_states))
-    if minimal:
+    if args.command == "minimize":
         d = minimize(d)
     print(d.n, file=sys.stderr)
     _write(args, serialize_fsa(d))
@@ -223,24 +220,9 @@ def _cmd_equiv(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "determinize":
-            return _cmd_determinize(args, minimal=False)
-        if args.command == "minimize":
-            return _cmd_determinize(args, minimal=True)
-        if args.command == "state-complexity":
-            return _cmd_state_complexity(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "universal":
-            return _cmd_universal(args)
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except BlowUpError as exc:
         print(f"blow-up abort: {exc.states_found} states found", file=sys.stderr)
         return EXIT_BLOWUP

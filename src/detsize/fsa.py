@@ -45,7 +45,7 @@ class ParseError(ValueError):
 
 
 def _valid_symbol(sym: str) -> bool:
-    return isinstance(sym, str) and bool(sym) and not any(c.isspace() for c in sym) and sym != EPSILON
+    return isinstance(sym, str) and sym.split() == [sym] and sym != EPSILON
 
 
 def _valid_state(name: str) -> bool:
@@ -170,9 +170,9 @@ def parse_fsa(text: str) -> Fsa:
     transitions: list[tuple[str, str, str]] = []
 
     def declare_state(name: str, lineno: int) -> None:
-        if not _valid_state(name):
-            raise ParseError(f"invalid state name {name!r}", lineno)
         if name not in state_seen:
+            if not _valid_state(name):
+                raise ParseError(f"invalid state name {name!r}", lineno)
             state_seen.add(name)
             states.append(name)
 
@@ -191,6 +191,9 @@ def parse_fsa(text: str) -> Fsa:
             for sym in pinned:
                 if not _valid_symbol(sym):
                     raise ParseError(f"invalid symbol {sym!r}", lineno)
+            for sym in symbols:
+                if sym not in pinned:
+                    raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
         elif head in ("@initial", "@final"):
             if len(tokens) != 2:
                 raise ParseError(f"{head} takes exactly one state", lineno)
@@ -204,25 +207,16 @@ def parse_fsa(text: str) -> Fsa:
             src, sym, dst = tokens
             declare_state(src, lineno)
             declare_state(dst, lineno)
-            if sym != EPSILON:
-                if not _valid_symbol(sym):
-                    raise ParseError(f"invalid symbol {sym!r}", lineno)
+            if sym != EPSILON and sym not in symbol_seen:
                 if pinned is not None and sym not in pinned:
                     raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
-                if sym not in symbol_seen:
-                    symbol_seen.add(sym)
-                    symbols.append(sym)
+                symbol_seen.add(sym)
+                symbols.append(sym)
             transitions.append((src, sym, dst))
 
     if not states:
         raise ParseError("no states declared")
-    if pinned is not None:
-        leftover = [s for s in symbols if s not in pinned]
-        if leftover:
-            raise ParseError(f"symbol {leftover[0]!r} not in declared alphabet")
-        alphabet = tuple(pinned)
-    else:
-        alphabet = tuple(symbols)
+    alphabet = tuple(symbols if pinned is None else pinned)
     return Fsa(alphabet, tuple(states), frozenset(initial), frozenset(final), frozenset(transitions))
 
 

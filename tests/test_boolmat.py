@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -231,8 +232,10 @@ class TestCyclicity:
             m = random_matrix(rng, n, rng.choice([0.15, 0.3, 0.5]))
             assert cyclicity(m) == cyclicity_by_cycle_enumeration(adjacency(m), n)
 
-    def test_every_cycle_length_divisible_by_component_cyclicity(self):
-        from oracles import simple_cycle_lengths
+    def test_components_match_oracle_and_give_cyclicity(self):
+        """The components partition the vertices as Kosaraju's oracle does, and
+        the lcm of their cycle-length gcds is the cyclicity."""
+        from oracles import _scc_labels, simple_cycle_lengths
 
         rng = random.Random(8)
         for _ in range(100):
@@ -240,19 +243,19 @@ class TestCyclicity:
             m = random_matrix(rng, n, 0.3)
             adj = adjacency(m)
             comps = strongly_connected_components(m)
+            labels = _scc_labels(adj, n)
+            assert sorted(v for comp in comps for v in comp) == list(range(n))
+            assert {frozenset(comp) for comp in comps} == {
+                frozenset(v for v in range(n) if labels[v] == label) for label in set(labels)
+            }
+            expected = 1
             for comp in comps:
                 members = set(comp)
                 sub = {u: {v for v in adj[u] if v in members} for u in comp}
                 lengths = simple_cycle_lengths(sub, n)
-                if not lengths:
-                    continue
-                import math
-
-                g = 0
-                for length in lengths:
-                    g = math.gcd(g, length)
-                for length in lengths:
-                    assert length % g == 0
+                if lengths:
+                    expected = math.lcm(expected, math.gcd(*lengths))
+            assert cyclicity(m) == expected
 
 
 class TestTransitionMatrices:

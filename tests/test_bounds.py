@@ -119,12 +119,6 @@ class TestMonoidClosure:
         assert "elements" not in vars(c)
         assert c.elements == {BoolMatrix(5, r) for r in c.rows}
 
-    def test_symbols_must_name_every_generator(self):
-        with pytest.raises(ValueError):
-            monoid_closure([cycle_matrix(3)], cap=10, symbols=("a", "b"))
-        c = monoid_closure([cycle_matrix(3)], cap=10, symbols=("a",))
-        assert c.generator_symbols == ("a",)
-
 
 class TestMonoidBound:
     def test_universal_dfa(self):

@@ -44,8 +44,11 @@ class TestGen:
         assert main(["gen", "mf", "--n", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_n_is_usage_error(self, capsys):
-        assert main(["gen", "moore"]) == 2
+    def test_missing_n_is_usage_error(self):
+        result = run_cli("gen", "moore")
+        assert result.returncode == 2
+        assert "--n" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_random_retries_exhausted_is_usage_error(self):
         result = run_cli("gen", "random", "--n", "3", "--initial-density", "0", "--trim")
@@ -63,6 +66,33 @@ class TestGen:
         with pytest.raises(SystemExit) as info:
             main(["gen", "nope"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["determinize", "{A}", "--range-cap", "5"],
+        ["minimize", "{A}", "--monoid-cap", "5"],
+        ["state-complexity", "{A}", "--format", "text"],
+        ["bounds", "{A}", "--seed", "1"],
+        ["universal", "{A}", "--format", "tree"],
+        ["equiv", "{A}", "{A}", "--range-cap", "5"],
+        ["gen", "universal", "--n", "3"],
+        ["gen", "moore", "--n", "3", "--sigma", "3"],
+        ["gen", "mf", "--n", "3", "--base", "{A}"],
+        ["gen", "moore-mod", "--n", "3", "--max-states", "5"],
+        ["gen", "random", "--n", "3", "--no-eps-removal"],
+        ["gen", "gadget-union", "--base", "{A}", "--t", "3"],
+        ["gen", "gadget-mf", "--base", "{A}", "--t", "3", "--seed", "1"],
+    ],
+)
+def test_option_not_read_is_usage_error(argv, tmp_path, capsys):
+    """Each command and gen family declares only the options it reads."""
+    path = write(tmp_path, "u.fsa", gen_universal())
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(A=path) for arg in argv])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminize:

@@ -1,10 +1,12 @@
 """Fuzz test of the command-line front end, run in-process.
 
-Random argv over every command and cap flag, on small random automaton texts
-(at most 8 states and 3 symbols, with epsilon edges and malformed lines mixed
-in), must end in exit code 0, 1, 2 or 3; exit 1 is reserved for a negative
-``universal`` or ``equiv`` verdict. The only exception allowed out of
-``main`` is argparse's ``SystemExit(2)`` for a malformed command line.
+Random argv over every command and ``gen`` family, each drawing only the
+options it declares, on small random automaton texts (at most 8 states and
+3 symbols, with epsilon edges and malformed lines mixed in), must end in
+exit code 0, 1, 2 or 3; exit 1 is reserved for a negative ``universal`` or
+``equiv`` verdict. The only exception allowed out of ``main`` is argparse's
+``SystemExit(2)`` for a malformed command line, which an option declared
+only by another command must always give.
 """
 
 from __future__ import annotations
@@ -41,63 +43,93 @@ def automaton_texts(draw) -> str:
 
 
 DENSITIES = st.sampled_from((-0.5, 0.0, 0.3, 0.7, 1.0, 1.5))
-CAP_FLAGS = {
+# option -> its values (None for a flag); the union of every command's options
+VALUES = {
+    "--out": st.just("{OUT}"),
+    "--no-eps-removal": None,
     "--max-states": st.integers(-1, 300),
     "--monoid-cap": st.integers(-1, 300),
     "--range-cap": st.integers(-1, 10),
+    "--format": st.sampled_from(("text", "tree") * 4 + ("xml",)),
+    "--n": st.integers(-1, 8),
+    "--t": st.integers(-1, 6),
+    "--base": st.just("{A}"),
+    "--sigma": st.integers(-1, 4),
+    "--density": DENSITIES,
+    "--initial-density": DENSITIES,
+    "--final-density": DENSITIES,
+    "--seed": st.integers(0, 50),
+    "--trim": None,
+    "--total": None,
+    "--codeterministic": None,
 }
+ANALYSIS = ("--out", "--no-eps-removal", "--max-states")
+RANDOM = ("--out", "--n", "--sigma", "--density", "--initial-density", "--final-density", "--seed",
+          "--trim", "--total", "--codeterministic")
+# the options each command or gen family declares; argparse rejects any other
+OPTIONS = {
+    "gen universal": ("--out",),
+    "gen moore": ("--out", "--n"),
+    "gen mf": ("--out", "--n"),
+    "gen moore-mod": ("--out", "--n"),
+    "gen random": RANDOM,
+    "gen gadget-union": ("--out", "--base", "--no-eps-removal"),
+    "gen gadget-mf": ("--out", "--base", "--t", "--no-eps-removal"),
+    "determinize": ANALYSIS,
+    "minimize": ANALYSIS,
+    "state-complexity": ANALYSIS,
+    "bounds": ANALYSIS + ("--monoid-cap", "--range-cap", "--format"),
+    "universal": ANALYSIS,
+    "equiv": ANALYSIS,
+}
+REQUIRED = ("--n", "--t", "--base")
+
+
+def _option(draw, option: str) -> list[str]:
+    values = VALUES[option]
+    return [option] if values is None else [option, str(draw(values))]
 
 
 @st.composite
-def invocations(draw) -> tuple[list[str], dict[str, str]]:
-    """(argv with file placeholders ``{A}``/``{B}``/``{OUT}``, texts to write)."""
-    command = draw(
-        st.sampled_from(("gen", "determinize", "minimize", "state-complexity", "bounds", "universal", "equiv"))
-    )
+def invocations(draw) -> tuple[list[str], dict[str, str], bool]:
+    """(argv with file placeholders ``{A}``/``{B}``/``{OUT}``, texts to write,
+    whether a stray argument is an option the command does not declare)."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
     texts = {"A": draw(automaton_texts())}
-    if command == "gen":
-        family = draw(st.sampled_from(("universal", "moore", "mf", "moore-mod", "random", "gadget-union", "gadget-mf")))
-        argv = ["gen", family]
-        for flag, values in (
-            ("--n", st.integers(-1, 8)),
-            ("--t", st.integers(-1, 6)),
-            ("--sigma", st.integers(-1, 4)),
-            ("--density", DENSITIES),
-            ("--initial-density", DENSITIES),
-            ("--final-density", DENSITIES),
-            ("--seed", st.integers(0, 50)),
-        ):
-            if draw(st.booleans()):
-                argv += [flag, str(draw(values))]
-        argv += [flag for flag in ("--trim", "--total", "--codeterministic") if draw(st.booleans())]
-        if draw(st.booleans()):
-            argv += ["--base", "{A}"]
+    if command.startswith("gen "):
+        argv = command.split()
     elif command == "equiv":
         texts["B"] = draw(automaton_texts())
         argv = ["equiv", "{A}", draw(st.sampled_from(("{A}", "{B}", "{MISSING}")))]
     else:
         argv = [command, draw(st.sampled_from(("{A}", "{A}", "{A}", "{MISSING}")))]
-    for flag, values in CAP_FLAGS.items():
-        if draw(st.booleans()):
-            argv += [flag, str(draw(values))]
+    for option in OPTIONS[command]:
+        if option in REQUIRED:
+            present = draw(st.sampled_from((True,) * 7 + (False,)))
+        elif option == "--no-eps-removal":
+            present = draw(st.sampled_from((False, False, False, True)))
+        else:
+            present = draw(st.booleans())
+        if present:
+            argv += _option(draw, option)
     if command == "bounds" and "--monoid-cap" not in argv:
         argv += ["--monoid-cap", "300"]  # keeps closures of 8-state inputs small
-    if draw(st.booleans()):
-        argv += ["--format", draw(st.sampled_from(("text", "tree") * 4 + ("xml",)))]
-    if draw(st.sampled_from((False, False, False, True))):
-        argv.append("--no-eps-removal")
-    if draw(st.booleans()):
-        argv += ["--out", "{OUT}"]
-    stray = draw(st.sampled_from((None,) * 20 + ("--bogus", "--max-states", "x")))
+    stray = draw(st.sampled_from((None,) * 20 + ("--bogus", "--max-states", "x", "foreign")))
+    if stray == "foreign":
+        # an option some other command declares, with its value
+        stray = _option(draw, draw(st.sampled_from([o for o in VALUES if o not in OPTIONS[command]])))
+    elif stray is not None:
+        stray = [stray]
     if stray is not None:
-        argv.insert(draw(st.integers(0, len(argv))), stray)
-    return argv, texts
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = stray
+    return argv, texts, stray is not None and stray[0] in VALUES and stray[0] not in OPTIONS[command]
 
 
 @given(invocations())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exit_codes(invocation):
-    argv, texts = invocation
+    argv, texts, foreign = invocation
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"MISSING": str(Path(tmp) / "missing.fsa"), "OUT": str(Path(tmp) / "out.txt")}
         for key, text in texts.items():
@@ -110,6 +142,7 @@ def test_cli_exit_codes(invocation):
             except SystemExit as exc:
                 assert exc.code == 2, f"{args}: argparse exit {exc.code}"
                 return
+    assert not foreign, f"{args}: an option the command does not declare was accepted"
     assert code in (0, 1, 2, 3), f"{args}: exit {code}"
     if code == 1:
         assert args[0] in ("universal", "equiv"), f"{args}: exit 1"

@@ -102,6 +102,21 @@ class TestParse:
         with pytest.raises(ParseError, match="not in declared alphabet"):
             parse_fsa("@alphabet a\nq0 b q0\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("q0 a q1\nq1 a @x\n", 2, "invalid state name '@x'"),
+            ("q0 a q1\n\nq1 b <eps>\n", 3, "invalid state name '<eps>'"),
+            ("q0 a q1\n@initial #q\n", 2, "invalid state name '#q'"),
+            ("q0 a q0\n@alphabet a <eps>\n", 2, "invalid symbol '<eps>'"),
+            ("q0 a q0\n@alphabet b\nq0 a q0\n", 2, "symbol 'a' not in declared alphabet"),
+        ],
+    )
+    def test_invalid_name_reports_its_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"line {line}: {message}") as info:
+            parse_fsa(text)
+        assert info.value.line == line
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="unknown directive"):
             parse_fsa("@states q0\n")

@@ -14,6 +14,7 @@ from typing import Sequence
 from .boolmat import (
     DEFAULT_RANGE_CAP,
     BoolMatrix,
+    RangeCapExceeded,
     _range_set,
     cyclicity,
     rank_gf2,
@@ -74,7 +75,9 @@ class MonoidClosure:
 
 
 class _ImageTable(dict):
-    """v -> v.g for one generator g, each entry computed on first lookup."""
+    """v -> v.g for one generator g, each entry computed on first lookup. In a
+    closure, v is a unit vector or a row of some y.h, so in the range of h: a
+    table never holds more than n plus the summed range sizes entries."""
 
     def __init__(self, g: BoolMatrix):
         self.apply = g.apply
@@ -83,18 +86,30 @@ class _ImageTable(dict):
         return self.setdefault(v, self.apply(v))
 
 
-def _closure_rows(
-    generators: Sequence[BoolMatrix], n: int, cap: int
-) -> tuple[set[tuple[int, ...]], bool]:
-    """Breadth-first closure from the identity under right-multiplication,
-    on raw row tuples. Stops (capped) as soon as the element count would
-    exceed ``cap``; generator order fixes the traversal, so the capped
-    outcome is deterministic. x.g looks each row of x up in g's image table.
-    A row of x is a unit vector or a row of some y.h, so in the range of h:
-    a table never holds more than n plus the summed range sizes entries."""
+def monoid_closure(
+    mats: Sequence[BoolMatrix],
+    cap: int = DEFAULT_MONOID_CAP,
+    *,
+    dim: int | None = None,
+) -> MonoidClosure:
+    """Closure of the given matrices under Boolean product, with the identity,
+    built breadth-first by right-multiplication on row tuples; x.g looks each
+    row of x up in g's image table.
+
+    With no generators the result is {identity}; ``dim`` must then supply the
+    dimension. Enumeration stops with ``capped`` set once the element count
+    would exceed ``cap``, in which case exactly ``cap`` elements are kept;
+    generator order fixes the traversal, so the capped outcome is deterministic.
+    """
+    n = mats[0].n if mats else dim
+    if n is None:
+        raise ValueError("dim is required when there are no generators")
+    for d in [m.n for m in mats] + ([] if dim is None else [dim]):
+        if d != n:
+            raise ValueError(f"dimension mismatch: {d} vs {n}")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    lookups = [_ImageTable(g).__getitem__ for g in generators]
+    lookups = [_ImageTable(g).__getitem__ for g in mats]
     identity = tuple(1 << i for i in range(n))
     elements: set[tuple[int, ...]] = {identity}
     queue: deque[tuple[int, ...]] = deque([identity])
@@ -104,32 +119,10 @@ def _closure_rows(
             nxt = tuple(map(lookup, current))
             if nxt not in elements:
                 if len(elements) >= cap:
-                    return elements, True
+                    return MonoidClosure(rows=frozenset(elements), n=n, capped=True, cap=cap)
                 elements.add(nxt)
                 queue.append(nxt)
-    return elements, False
-
-
-def monoid_closure(
-    mats: Sequence[BoolMatrix],
-    cap: int = DEFAULT_MONOID_CAP,
-    *,
-    dim: int | None = None,
-) -> MonoidClosure:
-    """Closure of the given matrices under Boolean product, with the identity.
-
-    With no generators the result is {identity}; ``dim`` must then supply the
-    dimension. Enumeration stops with ``capped`` set once the element count
-    would exceed ``cap``, in which case exactly ``cap`` elements are kept.
-    """
-    n = mats[0].n if mats else dim
-    if n is None:
-        raise ValueError("dim is required when there are no generators")
-    for d in [m.n for m in mats] + ([] if dim is None else [dim]):
-        if d != n:
-            raise ValueError(f"dimension mismatch: {d} vs {n}")
-    rows, capped = _closure_rows(mats, n, cap)
-    return MonoidClosure(rows=frozenset(rows), n=n, capped=capped, cap=cap)
+    return MonoidClosure(rows=frozenset(elements), n=n, capped=False, cap=cap)
 
 
 class _Analysis:
@@ -154,6 +147,11 @@ class _Analysis:
         """1 plus the range sizes of the symbols outside ``split``."""
         return 1 + sum(self.range_sizes[sym] for sym in self.a.alphabet if sym not in split)
 
+    def ceiling(self, sym: str) -> int:
+        """c + n**2 - 2n + 2 for c the cyclicity of ``sym``: caps the monoid ``sym`` generates."""
+        n = self.a.n
+        return self.cyclicities[sym] + n * n - 2 * n + 2
+
     def monoid_size(self, split: tuple[str, ...], cap: int) -> int | None:
         """Size of the monoid generated by ``split``; None when it exceeds
         ``cap``. A complete closure answers every cap and one capped at c
@@ -165,9 +163,10 @@ class _Analysis:
         size, capped = known
         return None if capped or size > cap else size
 
-    def subset_complexity(self, monoid_cap: int) -> tuple[int, tuple[str, ...]]:
+    def subset_complexity(self, monoid_cap: int) -> tuple[int | None, tuple[str, ...] | None]:
+        """(value, split); (None, None) when the alphabet is too large to enumerate every split."""
         if len(self.a.alphabet) > _MAX_SPLIT_SYMBOLS:
-            raise ValueError("alphabet too large for exhaustive split enumeration")
+            return None, None
         best: int | None = None
         witness: tuple[str, ...] = ()
         for split in _split_preference(self.a.alphabet):
@@ -184,9 +183,7 @@ class _Analysis:
         return best, witness
 
     def all_but_one(self, target: str, monoid_cap: int) -> tuple[int, int]:
-        n = self.a.n
-        cyc = self.cyclicities[target]
-        ceiling = cyc + n * n - 2 * n + 2
+        ceiling = self.ceiling(target)
         # the certified bound is the subset-complexity term at split {target},
         # with the ceiling substituted for a monoid size that caps
         factor = self.factor((target,))
@@ -194,7 +191,7 @@ class _Analysis:
         certified = factor * (ceiling if size is None else min(size, ceiling))
         ranks = [r for sym, r in self.ranks.items() if sym != target]
         worst = max((2 ** (-(-r * r // 4) + DEFAULT_ESTIMATE_CONSTANT * r) for r in ranks), default=1)
-        return certified, len(self.a.alphabet) * (cyc + n * n) * worst
+        return certified, len(self.a.alphabet) * (self.cyclicities[target] + self.a.n**2) * worst
 
 
 def monoid_bound(a: Fsa, cap: int = DEFAULT_MONOID_CAP) -> int | None:
@@ -232,7 +229,10 @@ def subset_complexity(
     Returns the bound and the minimizing split, ties broken by smaller split
     then lexicographic symbol order.
     """
-    return _Analysis(a, range_cap).subset_complexity(monoid_cap)
+    value, split = _Analysis(a, range_cap).subset_complexity(monoid_cap)
+    if value is None:
+        raise ValueError("alphabet too large for exhaustive split enumeration")
+    return value, split
 
 
 def unary_monoid_bounds(a: Fsa) -> tuple[int, int, int]:
@@ -243,7 +243,7 @@ def unary_monoid_bounds(a: Fsa) -> tuple[int, int, int]:
         raise ValueError("unary bounds require a one-symbol alphabet")
     analysis = _Analysis(a)
     lower = analysis.cyclicities[a.alphabet[0]]
-    upper = lower + a.n * a.n - 2 * a.n + 2
+    upper = analysis.ceiling(a.alphabet[0])
     exact = analysis.monoid_size(a.alphabet, upper + 1)
     if exact is None:
         raise RuntimeError("unary monoid exceeded its theoretical bound")
@@ -320,9 +320,12 @@ def full_report(
     estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
     report records as ``all_but_one_constant``."""
     analysis = _Analysis(a, range_cap)
-    ranges_ok = a.n <= range_cap
+    try:
+        ranges = analysis.range_sizes
+    except RangeCapExceeded:
+        ranges = None
     per_symbol = tuple(
-        SymbolStats(sym, analysis.ranks[sym], analysis.range_sizes[sym] if ranges_ok else None, analysis.cyclicities[sym])
+        SymbolStats(sym, analysis.ranks[sym], None if ranges is None else ranges[sym], analysis.cyclicities[sym])
         for sym in a.alphabet
     )
 
@@ -332,14 +335,10 @@ def full_report(
         subset_size = None
 
     mbound = analysis.monoid_size(a.alphabet, monoid_cap)
-    rbound = analysis.factor(()) if ranges_ok else None
-
-    sc_value = sc_split = None
-    if ranges_ok and len(a.alphabet) <= _MAX_SPLIT_SYMBOLS:
+    rbound = sc_value = sc_split = certified = target = estimate = None
+    if ranges is not None:
+        rbound = analysis.factor(())
         sc_value, sc_split = analysis.subset_complexity(monoid_cap)
-
-    certified = target = estimate = None
-    if ranges_ok:
         for sym in a.alphabet:
             c, e = analysis.all_but_one(sym, monoid_cap)
             if certified is None or c < certified:
@@ -364,49 +363,40 @@ def full_report(
     )
 
 
+# (tree key, sub key, BoundReport field) for every capped or annotated value
+_REPORT_TREE = (
+    ("subset_size", "value", "subset_size"),
+    ("subset_size", "cap", "subset_cap"),
+    ("monoid_bound", "value", "monoid_bound"),
+    ("monoid_bound", "cap", "monoid_cap"),
+    ("range_bound", "value", "range_bound"),
+    ("range_bound", "cap", "range_cap"),
+    ("subset_complexity", "value", "subset_complexity"),
+    ("subset_complexity", "split", "subset_split"),
+    ("all_but_one_certified", "value", "all_but_one_certified"),
+    ("all_but_one_certified", "target", "all_but_one_target"),
+    ("all_but_one_estimate", "value", "all_but_one_estimate"),
+    ("all_but_one_estimate", "constant", "all_but_one_constant"),
+)
+
+
 def report_to_dict(report: BoundReport) -> dict:
     """Machine-readable tree form of a report; inverse of report_from_dict."""
-    return {
-        "n": report.n,
-        "alphabet": list(report.alphabet),
-        "subset_size": {"value": report.subset_size, "cap": report.subset_cap},
-        "monoid_bound": {"value": report.monoid_bound, "cap": report.monoid_cap},
-        "range_bound": {"value": report.range_bound, "cap": report.range_cap},
-        "subset_complexity": {
-            "value": report.subset_complexity,
-            "split": None if report.subset_split is None else list(report.subset_split),
-        },
-        "all_but_one_certified": {
-            "value": report.all_but_one_certified,
-            "target": report.all_but_one_target,
-        },
-        "all_but_one_estimate": {
-            "value": report.all_but_one_estimate,
-            "constant": report.all_but_one_constant,
-        },
-        "per_symbol": [asdict(s) for s in report.per_symbol],
-    }
+    tree: dict = {"n": report.n, "alphabet": list(report.alphabet)}
+    for key, sub, field in _REPORT_TREE:
+        value = getattr(report, field)
+        tree.setdefault(key, {})[sub] = list(value) if isinstance(value, tuple) else value
+    tree["per_symbol"] = [asdict(s) for s in report.per_symbol]
+    return tree
 
 
 def report_from_dict(data: dict) -> BoundReport:
-    split = data["subset_complexity"]["split"]
-    return BoundReport(
-        n=data["n"],
-        alphabet=tuple(data["alphabet"]),
-        subset_size=data["subset_size"]["value"],
-        subset_cap=data["subset_size"]["cap"],
-        monoid_bound=data["monoid_bound"]["value"],
-        monoid_cap=data["monoid_bound"]["cap"],
-        range_bound=data["range_bound"]["value"],
-        range_cap=data["range_bound"]["cap"],
-        subset_complexity=data["subset_complexity"]["value"],
-        subset_split=None if split is None else tuple(split),
-        all_but_one_certified=data["all_but_one_certified"]["value"],
-        all_but_one_target=data["all_but_one_certified"]["target"],
-        all_but_one_estimate=data["all_but_one_estimate"]["value"],
-        all_but_one_constant=data["all_but_one_estimate"]["constant"],
-        per_symbol=tuple(SymbolStats(**s) for s in data["per_symbol"]),
-    )
+    fields = {}
+    for key, sub, field in _REPORT_TREE:
+        value = data[key][sub]
+        fields[field] = tuple(value) if isinstance(value, list) else value
+    per_symbol = tuple(SymbolStats(**s) for s in data["per_symbol"])
+    return BoundReport(n=data["n"], alphabet=tuple(data["alphabet"]), per_symbol=per_symbol, **fields)
 
 
 def report_to_json(report: BoundReport) -> str:

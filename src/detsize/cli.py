@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .boolmat import DEFAULT_RANGE_CAP
 from .bounds import DEFAULT_MONOID_CAP, full_report, render_report_text, report_to_json
@@ -21,7 +22,7 @@ from .determinize import (
     subset_to_dfa,
     universality_witness,
 )
-from .fsa import Fsa, ParseError, parse_fsa, remove_epsilon, serialize_fsa
+from .fsa import EPSILON, Fsa, ParseError, parse_fsa, remove_epsilon, serialize_fsa
 from .generators import (
     RandomNfaSpec,
     gen_meyer_fischer,
@@ -58,15 +59,16 @@ def _eps_option(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detsize",
+        allow_abbrev=False,
         description="Determinize NFAs and compute a priori bounds on the resulting DFA size.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit a generated automaton")
+    gen = sub.add_parser("gen", allow_abbrev=False, help="emit a generated automaton")
     families = gen.add_subparsers(dest="family", required=True)
 
     def family(name: str, make) -> argparse.ArgumentParser:
-        p = families.add_parser(name)
+        p = families.add_parser(name, allow_abbrev=False)
         p.set_defaults(run=_cmd_gen, make=make)
         _out_option(p)
         return p
@@ -74,15 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     family("universal", lambda args: gen_universal())
     for name, make in (("moore", gen_moore), ("mf", gen_meyer_fischer), ("moore-mod", gen_modified_moore)):
         family(name, lambda args, make=make: make(args.n)).add_argument("--n", type=int, required=True)
+    # each dest is a RandomNfaSpec field; an option left out keeps the spec's default
     p = family("random", _gen_random)
+    p.argument_default = argparse.SUPPRESS
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", type=int, default=2, help="alphabet size")
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--initial-density", type=float, default=0.5)
-    p.add_argument("--final-density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    for flag in ("--trim", "--total", "--codeterministic"):
-        p.add_argument(flag, action="store_true")
+    p.add_argument("--sigma", dest="alphabet_size", metavar="SIGMA", type=int, help="alphabet size")
+    for flag in ("--density", "--initial-density", "--final-density"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--seed", type=int)
+    for flag in ("trim", "total", "codeterministic"):
+        p.add_argument(f"--{flag}", dest=f"force_{flag}", action="store_true")
     for name, make in (
         ("gadget-union", lambda args: gen_union_gadget(_load(args, args.base))),
         ("gadget-mf", lambda args: gen_mf_gadget(_load(args, args.base), args.t)),
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("universal", _cmd_universal, "decide universality"),
         ("equiv", _cmd_equiv, "decide language equivalence of two automata"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, allow_abbrev=False, help=help_text)
         p.set_defaults(run=run)
         if name == "equiv":
             p.add_argument("input_a", metavar="FILE_A")
@@ -142,22 +145,9 @@ def _load(args, path: str) -> Fsa:
     return a
 
 
-def _format_word(word: tuple[str, ...]) -> str:
-    return " ".join(word) if word else "<eps>"
-
-
 def _gen_random(args) -> Fsa:
-    spec = RandomNfaSpec(
-        n=args.n,
-        alphabet_size=args.sigma,
-        density=args.density,
-        initial_density=args.initial_density,
-        final_density=args.final_density,
-        seed=args.seed,
-        force_trim=args.trim,
-        force_total=args.total,
-        force_codeterministic=args.codeterministic,
-    )
+    given = vars(args)
+    spec = RandomNfaSpec(**{f.name: given[f.name] for f in fields(RandomNfaSpec) if f.name in given})
     try:
         return gen_random(spec)
     except RuntimeError as exc:  # the forcing flags left no sample after every retry
@@ -187,36 +177,29 @@ def _cmd_state_complexity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     a = _load(args, args.input)
-    report = full_report(
-        a,
-        monoid_cap=args.monoid_cap,
-        range_cap=args.range_cap,
-        max_states=args.max_states,
-    )
+    report = full_report(a, args.monoid_cap, args.range_cap, args.max_states)
     text = report_to_json(report) if args.format == "tree" else render_report_text(report)
     _write(args, text)
     return EXIT_OK
 
 
+def _verdict(args, verdict: str, witness: tuple[str, ...] | None) -> int:
+    if witness is None:
+        _write(args, f"{verdict}\n")
+        return EXIT_OK
+    _write(args, f"not {verdict}: {' '.join(witness) or EPSILON}\n")
+    return EXIT_NEGATIVE
+
+
 def _cmd_universal(args) -> int:
     a = _load(args, args.input)
-    witness = universality_witness(a, args.max_states)
-    if witness is None:
-        _write(args, "universal\n")
-        return EXIT_OK
-    _write(args, f"not universal: {_format_word(witness)}\n")
-    return EXIT_NEGATIVE
+    return _verdict(args, "universal", universality_witness(a, args.max_states))
 
 
 def _cmd_equiv(args) -> int:
     a = _load(args, args.input_a)
     b = _load(args, args.input_b)
-    witness = distinguishing_word(a, b, args.max_states)
-    if witness is None:
-        _write(args, "equivalent\n")
-        return EXIT_OK
-    _write(args, f"not equivalent: {_format_word(witness)}\n")
-    return EXIT_NEGATIVE
+    return _verdict(args, "equivalent", distinguishing_word(a, b, args.max_states))
 
 
 def main(argv: list[str] | None = None) -> int:

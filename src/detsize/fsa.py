@@ -252,16 +252,16 @@ def _adjacency(a: Fsa) -> dict[str, dict[str, set[str]]]:
     return adj
 
 
-def _eps_closure(adj: dict[str, dict[str, set[str]]], start: Iterable[str]) -> set[str]:
-    closure = set(start)
-    stack = list(closure)
+def _reachable(states: Iterable[str], edges: dict[str, set[str]]) -> set[str]:
+    seen = set(states)
+    stack = list(seen)
     while stack:
         q = stack.pop()
-        for r in adj[q].get(EPSILON, ()):
-            if r not in closure:
-                closure.add(r)
+        for r in edges.get(q, ()):
+            if r not in seen:
+                seen.add(r)
                 stack.append(r)
-    return closure
+    return seen
 
 
 def remove_epsilon(a: Fsa) -> Fsa:
@@ -269,7 +269,8 @@ def remove_epsilon(a: Fsa) -> Fsa:
     if not a.has_epsilon:
         return a
     adj = _adjacency(a)
-    closures = {q: _eps_closure(adj, (q,)) for q in a.states}
+    eps = {q: out[EPSILON] for q, out in adj.items() if EPSILON in out}
+    closures = {q: _reachable((q,), eps) for q in a.states}
     new_trans = set()
     for q in a.states:
         for p in closures[q]:
@@ -286,18 +287,6 @@ def reverse(a: Fsa) -> Fsa:
     """Flip every transition and swap initial with final states."""
     flipped = frozenset((dst, sym, src) for src, sym, dst in a.transitions)
     return Fsa(a.alphabet, a.states, a.final, a.initial, flipped)
-
-
-def _reachable(states: Iterable[str], edges: dict[str, set[str]]) -> set[str]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for r in edges.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return seen
 
 
 def _forward_backward(a: Fsa) -> tuple[set[str], set[str]]:
@@ -325,10 +314,15 @@ def is_trim(a: Fsa) -> bool:
     return len(accessible & coaccessible) == a.n
 
 
+def _missing_pairs(a: Fsa) -> list[tuple[str, str]]:
+    """The (state, symbol) pairs without a successor, in state then alphabet order."""
+    pairs = {(src, sym) for src, sym, _ in a.transitions if sym != EPSILON}
+    return [(q, w) for q in a.states for w in a.alphabet if (q, w) not in pairs]
+
+
 def is_total(a: Fsa) -> bool:
     """True when every (state, symbol) pair has at least one successor."""
-    pairs = {(src, sym) for src, sym, _ in a.transitions if sym != EPSILON}
-    return all((q, w) in pairs for q in a.states for w in a.alphabet)
+    return not _missing_pairs(a)
 
 
 def is_deterministic(a: Fsa) -> bool:
@@ -364,32 +358,27 @@ def complete_with_dead_state(a: Fsa) -> Fsa:
     """Make the transition relation total by routing missing (state, symbol)
     pairs to a fresh non-final sink with self-loops; a total automaton is
     returned unchanged, which makes the operation idempotent."""
-    if is_total(a):
+    missing = _missing_pairs(a)
+    if not missing:
         return a
     dead = fresh_state_name("q_dead", a.states)
-    pairs = {(src, sym) for src, sym, _ in a.transitions if sym != EPSILON}
     new_trans = set(a.transitions)
-    for q in a.states:
-        for w in a.alphabet:
-            if (q, w) not in pairs:
-                new_trans.add((q, w, dead))
-    for w in a.alphabet:
-        new_trans.add((dead, w, dead))
+    new_trans.update((q, w, dead) for q, w in missing)
+    new_trans.update((dead, w, dead) for w in a.alphabet)
     return Fsa(a.alphabet, a.states + (dead,), a.initial, a.final, frozenset(new_trans))
 
 
 def accepts(a: Fsa, word: Iterable[str]) -> bool:
-    """Membership test by on-the-fly subset simulation (epsilon-aware)."""
+    """Membership test by on-the-fly subset simulation, after removing any
+    epsilon transitions."""
+    a = remove_epsilon(a)
     alphabet = set(a.alphabet)
     adj = _adjacency(a)
-    current = _eps_closure(adj, a.initial)
+    current = set(a.initial)
     for sym in word:
         if sym not in alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet")
-        step: set[str] = set()
-        for q in current:
-            step |= adj[q].get(sym, set())
-        current = _eps_closure(adj, step)
+        current = set().union(*(adj[q].get(sym, ()) for q in current))
         if not current:
             return False
     return bool(current & a.final)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fsa import Fsa, complete_with_dead_state, fresh_state_name, is_trim, reverse, trim
 
@@ -86,6 +87,16 @@ def _require_ab(a: Fsa) -> None:
         raise ValueError("base automaton must be over the alphabet {a, b}")
 
 
+def _fresh_names(bases: Iterable[str], taken: Iterable[str]) -> list[str]:
+    """One fresh state name per base, in order, avoiding ``taken`` and each other."""
+    taken = set(taken)
+    names = []
+    for base in bases:
+        names.append(fresh_state_name(base, taken))
+        taken.add(names[-1])
+    return names
+
+
 def gen_union_gadget(a: Fsa) -> Fsa:
     """Union of two #-concatenations with 2(n+1) states, n = |a|:
     a universal state chained by # into an n-state gen_moore copy, alongside
@@ -95,16 +106,8 @@ def gen_union_gadget(a: Fsa) -> Fsa:
     """
     _require_ab(a)
     moore = gen_moore(a.n)
-    taken = set(a.states)
-
-    def fresh(base: str) -> str:
-        name = fresh_state_name(base, taken)
-        taken.add(name)
-        return name
-
-    u1 = fresh("u1")
-    u2 = fresh("u2")
-    m_names = {q: fresh(f"m{q[1:]}") for q in moore.states}
+    u1, u2, *m = _fresh_names(["u1", "u2"] + [f"m{q[1:]}" for q in moore.states], a.states)
+    m_names = dict(zip(moore.states, m))
 
     states = (u1,) + tuple(m_names[q] for q in moore.states) + a.states + (u2,)
     trans = {(u1, "a", u1), (u1, "b", u1), (u2, "a", u2), (u2, "b", u2)}
@@ -121,17 +124,17 @@ def gen_mf_gadget(a: Fsa, t: int) -> Fsa:
     """Conjoin ``a`` (completed with a dead state) with a t-state
     gen_meyer_fischer copy: every non-final state of the completed base,
     including the dead state, gets a #-edge to p1, and every final state gets
-    #-edges to all t states. p1 stops being initial but stays final."""
+    #-edges to all t states. p1 stops being initial but stays final. A base
+    without an initial state is refused (ValueError): the gadget would then
+    accept nothing and add no subset state, not the 2**t of a non-universal base."""
     _require_ab(a)
+    if not a.initial:
+        raise ValueError("base automaton must have an initial state")
     if t < 2:
         raise ValueError("t must be at least 2")
     base = complete_with_dead_state(a)
     mf = gen_meyer_fischer(t)
-    taken = set(base.states)
-    p_names = {}
-    for q in mf.states:
-        p_names[q] = fresh_state_name(q, taken)
-        taken.add(p_names[q])
+    p_names = dict(zip(mf.states, _fresh_names(mf.states, base.states)))
 
     states = base.states + tuple(p_names[q] for q in mf.states)
     trans = set(base.transitions)

@@ -166,7 +166,7 @@ def test_c08_codeterministic_subset_automaton_is_minimal(codeterministic_nfas):
 
 
 def test_c09_mf_gadget_dichotomy():
-    with criterion("09 conjoining gadget: +2 subset states on a universal base, >= 2^t otherwise"):
+    with criterion("09 conjoining gadget on a base with an initial state: +2 subset states if universal, >= 2^t otherwise"):
         universal_base = two_state_universal()
         non_universal_base = gen_moore(4)
         for t in (4, 6):
@@ -204,3 +204,23 @@ def test_c12_language_preservation(
             for _ in range(200):
                 w = tuple(rng.choice(a.alphabet) for _ in range(rng.randint(7, 25)))
                 assert s.accepts(w) == nfa_accepts_by_sets(a, w)
+
+
+def test_c13_gadget_dichotomies_on_every_total_base(total_nfas):
+    with criterion("13 union and conjoining gadget dichotomies on all 300 total NFAs; no initial state is refused"):
+        refused = 0
+        for i, base in enumerate(total_nfas):
+            universal = is_universal(base)
+            sc = state_complexity(gen_union_gadget(base))
+            assert (sc == 3) if universal else (sc >= 2**base.n), f"total_nfas[{i}] union gadget: {sc}"
+            if not base.initial:
+                for t in (3, 5):
+                    with pytest.raises(ValueError, match="initial state"):
+                        gen_mf_gadget(base, t)
+                refused += 1
+                continue
+            base_ss = subset_construct(complete_with_dead_state(base)).n
+            for t in (3, 5):
+                extra = subset_construct(gen_mf_gadget(base, t)).n - base_ss
+                assert (extra == 2) if universal else (extra >= 2**t), f"total_nfas[{i}] t={t}: +{extra}"
+        assert refused == 30

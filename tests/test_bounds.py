@@ -341,3 +341,12 @@ class TestFullReport:
         assert report.monoid_bound is not None
         assert all(s.range_size is None for s in report.per_symbol)
         assert report_from_json(report_to_json(report)) == report
+
+    def test_no_symbols_has_no_range_to_cap(self):
+        # the range cap refuses an enumeration; with no symbols there is none,
+        # so the report agrees with range_bound and subset_complexity
+        a = Fsa(states=("q0", "q1"), initial=frozenset({"q0"}), final=frozenset({"q1"}))
+        report = full_report(a, range_cap=1)
+        assert report.range_bound == range_bound(a, range_cap=1) == 1
+        assert (report.subset_complexity, report.subset_split) == subset_complexity(a, range_cap=1) == (1, ())
+        assert report.subset_size == 1

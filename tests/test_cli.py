@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,9 +10,16 @@ import pytest
 
 import detsize
 from detsize.bounds import full_report, report_from_dict, report_to_dict
-from detsize.cli import main
+from detsize.cli import _build_parser, main
 from detsize.fsa import accepts, parse_fsa, serialize_fsa
-from detsize.generators import gen_meyer_fischer, gen_modified_moore, gen_moore, gen_universal
+from detsize.generators import (
+    RandomNfaSpec,
+    gen_meyer_fischer,
+    gen_modified_moore,
+    gen_moore,
+    gen_random,
+    gen_universal,
+)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -24,6 +32,13 @@ def write(tmp_path, name, automaton) -> str:
     path = tmp_path / name
     path.write_text(serialize_fsa(automaton))
     return str(path)
+
+
+# every gen random option at a value other than its RandomNfaSpec default
+RANDOM_OPTIONS = ["--sigma", "3", "--density", "0.6", "--initial-density", "0.7", "--final-density", "0.8",
+                  "--seed", "5", "--trim", "--total"]
+RANDOM_SPEC = dict(alphabet_size=3, density=0.6, initial_density=0.7, final_density=0.8, seed=5,
+                   force_trim=True, force_total=True)
 
 
 class TestGen:
@@ -39,6 +54,25 @@ class TestGen:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "options, spec",
+        [
+            ([], {}),
+            (RANDOM_OPTIONS + ["--codeterministic"], dict(RANDOM_SPEC, force_codeterministic=True)),
+            (RANDOM_OPTIONS, RANDOM_SPEC),
+        ],
+        ids=["n-only", "every-option", "every-option-but-codeterministic"],
+    )
+    def test_random_options_map_to_spec_fields(self, options, spec, capsys):
+        assert main(["gen", "random", "--n", "4", *options]) == 0
+        assert capsys.readouterr().out == serialize_fsa(gen_random(RandomNfaSpec(n=4, **spec)))
+
+    def test_gadget_mf_base_without_initial_state_is_usage_error(self, tmp_path, capsys):
+        base = tmp_path / "b.fsa"
+        base.write_text("q a q\nq b q\n@final q\n")
+        assert main(["gen", "gadget-mf", "--base", str(base), "--t", "3"]) == 2
+        assert capsys.readouterr().err == "error: base automaton must have an initial state\n"
 
     def test_mf_n1_is_usage_error(self, capsys):
         assert main(["gen", "mf", "--n", "1"]) == 2
@@ -68,31 +102,59 @@ class TestGen:
         assert info.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["determinize", "{A}", "--range-cap", "5"],
-        ["minimize", "{A}", "--monoid-cap", "5"],
-        ["state-complexity", "{A}", "--format", "text"],
-        ["bounds", "{A}", "--seed", "1"],
-        ["universal", "{A}", "--format", "tree"],
-        ["equiv", "{A}", "{A}", "--range-cap", "5"],
-        ["gen", "universal", "--n", "3"],
-        ["gen", "moore", "--n", "3", "--sigma", "3"],
-        ["gen", "mf", "--n", "3", "--base", "{A}"],
-        ["gen", "moore-mod", "--n", "3", "--max-states", "5"],
-        ["gen", "random", "--n", "3", "--no-eps-removal"],
-        ["gen", "gadget-union", "--base", "{A}", "--t", "3"],
-        ["gen", "gadget-mf", "--base", "{A}", "--t", "3", "--seed", "1"],
-    ],
-)
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _options(p: argparse.ArgumentParser) -> dict[str, bool]:
+    """Option string -> whether it takes a value, for each option ``p`` declares."""
+    return {s: a.nargs != 0 for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+
+
+# every command and gen family, keyed by its argv prefix, and its parser
+COMMANDS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+for _name, _p in _subcommands(_build_parser()).items():
+    if _name == "gen":
+        COMMANDS.update({("gen", family): fp for family, fp in _subcommands(_p).items()})
+    else:
+        COMMANDS[(_name,)] = _p
+ALL_OPTIONS = {o: v for p in COMMANDS.values() for o, v in _options(p).items()}
+
+
+def _foreign_options(command: tuple[str, ...]) -> list[tuple[str, bool]]:
+    """(option, takes a value) for every option only other commands declare."""
+    own = _options(COMMANDS[command])
+    return [(o, v) for o, v in ALL_OPTIONS.items() if o not in own]
+
+
+def test_foreign_option_pairs_cover_every_command():
+    assert len(COMMANDS) == 13
+    assert sum(len(_foreign_options(c)) for c in COMMANDS) == 176
+
+
+@pytest.mark.parametrize("argv", [list(c) for c in COMMANDS])
 def test_option_not_read_is_usage_error(argv, tmp_path, capsys):
-    """Each command and gen family declares only the options it reads."""
+    """Each command and gen family declares only the options it reads, and
+    rejects every other command's option, spelled out or as an abbreviation
+    of its own (``--n`` against ``--no-eps-removal``, ``--t`` against
+    ``--trim`` and ``--total``)."""
     path = write(tmp_path, "u.fsa", gen_universal())
-    with pytest.raises(SystemExit) as info:
-        main([arg.format(A=path) for arg in argv])
-    assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    base = list(argv)
+    for action in COMMANDS[tuple(argv)]._actions:
+        if not action.option_strings:
+            base.append(path)
+        elif action.required:
+            base += [action.option_strings[0], path if action.type is None else "3"]
+    wrong = []
+    for option, takes_value in _foreign_options(tuple(argv)):
+        stray = [option, "3"] if takes_value else [option]
+        with pytest.raises(SystemExit) as info:
+            main(base + stray)
+        err = capsys.readouterr().err
+        if info.value.code != 2 or f"unrecognized arguments: {' '.join(stray)}" not in err:
+            wrong.append((option, info.value.code, err.strip().splitlines()[-1:]))
+    assert wrong == [], f"{argv}: {wrong}"
 
 
 class TestDeterminize:

@@ -22,7 +22,7 @@ from .determinize import (
     subset_to_dfa,
     universality_witness,
 )
-from .fsa import EPSILON, Fsa, ParseError, parse_fsa, remove_epsilon, serialize_fsa
+from .fsa import EPSILON, Fsa, parse_fsa, remove_epsilon, serialize_fsa
 from .generators import (
     RandomNfaSpec,
     gen_meyer_fischer,
@@ -38,10 +38,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
-
-
-class _CliError(Exception):
-    pass
 
 
 def _out_option(parser: argparse.ArgumentParser) -> None:
@@ -127,7 +123,7 @@ def _write(args, text: str) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -137,10 +133,10 @@ def _load(args, path: str) -> Fsa:
         with open(path, encoding="utf-8") as fh:
             a = parse_fsa(fh.read())
     except OSError as exc:
-        raise _CliError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     if a.has_epsilon:
         if args.no_eps_removal:
-            raise _CliError(f"{path}: input has epsilon transitions")
+            raise ValueError(f"{path}: input has epsilon transitions")
         a = remove_epsilon(a)
     return a
 
@@ -148,10 +144,7 @@ def _load(args, path: str) -> Fsa:
 def _gen_random(args) -> Fsa:
     given = vars(args)
     spec = RandomNfaSpec(**{f.name: given[f.name] for f in fields(RandomNfaSpec) if f.name in given})
-    try:
-        return gen_random(spec)
-    except RuntimeError as exc:  # the forcing flags left no sample after every retry
-        raise _CliError(str(exc)) from exc
+    return gen_random(spec)
 
 
 def _cmd_gen(args) -> int:
@@ -209,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"blow-up abort: {exc.states_found} states found", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ParseError, _CliError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and RangeCapExceeded among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "BlowUpError",
     "SubsetAutomaton",
-    "Dfa",
     "subset_construct",
     "subset_to_dfa",
     "minimize",
@@ -137,35 +136,9 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     )
 
 
-class Dfa(Fsa):
-    """An Fsa with a unique initial state and a total transition function.
-
-    Equality is by fields, so a Dfa compares equal to a plain Fsa with the
-    same content (e.g. after a serialize/parse round trip).
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not is_deterministic(self):
-            raise ValueError("not deterministic")
-
-    def __eq__(self, other):
-        if isinstance(other, Fsa):
-            return (
-                self.alphabet == other.alphabet
-                and self.states == other.states
-                and self.initial == other.initial
-                and self.final == other.final
-                and self.transitions == other.transitions
-            )
-        return NotImplemented
-
-    __hash__ = Fsa.__hash__
-
-
-def subset_to_dfa(s: SubsetAutomaton) -> Dfa:
-    """Forget subset labels; state names still encode the subset, as in
-    ``S0=q1,q2``, for traceability."""
+def subset_to_dfa(s: SubsetAutomaton) -> Fsa:
+    """The subset automaton as an ``Fsa``: a total DFA with state 0 initial,
+    whose state names encode their subsets, as in ``S0=q1,q2``."""
     names = [s.state_name(i) for i in range(s.n)]
     trans = frozenset(
         (names[i], sym, names[s.transitions[i][k]])
@@ -173,7 +146,7 @@ def subset_to_dfa(s: SubsetAutomaton) -> Dfa:
         for k, sym in enumerate(s.base.alphabet)
     )
     final = frozenset(names[i] for i in range(s.n) if s.final_flags[i])
-    return Dfa(s.base.alphabet, tuple(names), frozenset({names[0]}), final, trans)
+    return Fsa(s.base.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 
 def _refine(transitions, final_flags) -> list[int]:
@@ -214,8 +187,10 @@ def _refine(transitions, final_flags) -> list[int]:
     return [ids.setdefault(b, len(ids)) for b in block_of]
 
 
-def minimize(d: Dfa) -> Dfa:
+def minimize(d: Fsa) -> Fsa:
     """Minimal total DFA for the same language, unique up to renaming.
+
+    Raises ValueError unless ``d`` is a total DFA with one initial state.
 
     Restricts to accessible states, numbered in breadth-first order, then
     merges indistinguishable states by partition refinement (``_refine``);
@@ -223,6 +198,8 @@ def minimize(d: Dfa) -> Dfa:
     reachable accepting state collapses to the 1-state all-rejecting DFA.
     When the input is already minimal it is returned unchanged.
     """
+    if not is_deterministic(d):
+        raise ValueError("minimize needs a total DFA with one initial state")
     start = next(iter(d.initial))
     succ: dict[tuple[str, str], str] = {(src, sym): dst for src, sym, dst in d.transitions}
     order = [start]
@@ -243,7 +220,7 @@ def minimize(d: Dfa) -> Dfa:
         (names[block[i]], sym, names[block[j]]) for i, row in enumerate(rows) for sym, j in zip(d.alphabet, row)
     )
     final = frozenset(names[block[i]] for i, q in enumerate(order) if q in d.final)
-    return Dfa(d.alphabet, tuple(names), frozenset({names[0]}), final, trans)
+    return Fsa(d.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 
 def state_complexity(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> int:

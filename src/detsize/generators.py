@@ -189,14 +189,15 @@ def _random_codeterministic(spec: RandomNfaSpec, alphabet: tuple[str, ...]) -> F
         dfa = Fsa(alphabet, states, frozenset({states[0]}), final, trans)
         if is_trim(dfa):
             return reverse(dfa)
-    raise RuntimeError("retries exhausted generating a trim co-deterministic automaton")
+    raise ValueError("retries exhausted generating a trim co-deterministic automaton")
 
 
 def gen_random(spec: RandomNfaSpec) -> Fsa:
     """Seeded random NFA: every potential transition is included independently
     with the spec's density, and each state is independently initial or final
     with the corresponding density. Flags post-process the sample; forcing
-    trim resamples (bounded) until the trimmed automaton is nonempty."""
+    trim resamples (bounded) until the trimmed automaton is nonempty. Raises
+    ValueError when the trim or co-deterministic retries run out."""
     alphabet = tuple(chr(ord("a") + k) for k in range(spec.alphabet_size))
     if spec.force_codeterministic:
         return _random_codeterministic(spec, alphabet)
@@ -223,7 +224,7 @@ def gen_random(spec: RandomNfaSpec) -> Fsa:
             result = trimmed
             break
     if result is None:
-        raise RuntimeError("retries exhausted: the sampled language stayed empty")
+        raise ValueError("retries exhausted: the sampled language stayed empty")
     if spec.force_total:
         result = complete_with_dead_state(result)
     return result

@@ -11,6 +11,7 @@ import pytest
 import detsize
 from detsize.bounds import full_report, report_from_dict, report_to_dict
 from detsize.cli import _build_parser, main
+from detsize.determinize import minimize, subset_construct, subset_to_dfa
 from detsize.fsa import accepts, parse_fsa, serialize_fsa
 from detsize.generators import (
     RandomNfaSpec,
@@ -20,6 +21,8 @@ from detsize.generators import (
     gen_random,
     gen_universal,
 )
+
+from conftest import build_families, build_random_nfas
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -202,6 +205,22 @@ class TestMinimize:
         captured = capsys.readouterr()
         assert parse_fsa(captured.out).n == 8
         assert captured.err.strip() == "8"
+
+
+TEXT_CASES = [(f"family[{i}]", a) for i, a in enumerate(build_families())]
+TEXT_CASES += [(f"random[{i}]", a) for i, a in enumerate(build_random_nfas(50))]
+
+
+@pytest.mark.parametrize("a", [a for _, a in TEXT_CASES], ids=[name for name, _ in TEXT_CASES])
+def test_output_text_equals_library_text(a, tmp_path, capsys):
+    path = write(tmp_path, "a.fsa", a)
+    # the automaton the CLI reads: a text round trip may reorder states
+    dfa = subset_to_dfa(subset_construct(parse_fsa(serialize_fsa(a))))
+    for command, want in (("determinize", dfa), ("minimize", minimize(dfa))):
+        assert main([command, path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serialize_fsa(want)
+        assert captured.err == f"{want.n}\n"
 
 
 class TestStateComplexity:

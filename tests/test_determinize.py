@@ -6,7 +6,6 @@ import pytest
 
 from detsize.determinize import (
     BlowUpError,
-    Dfa,
     check_brzozowski,
     distinguishing_word,
     equivalent,
@@ -153,9 +152,23 @@ class TestSubsetToDfa:
 
 class TestMinimize:
     def test_universal_already_minimal(self):
-        d = Dfa(("a", "b"), ("q",), frozenset({"q"}), frozenset({"q"}),
+        d = Fsa(("a", "b"), ("q",), frozenset({"q"}), frozenset({"q"}),
                 frozenset({("q", "a", "q"), ("q", "b", "q")}))
         assert minimize(d) is d
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [
+            [("p", "a", "p"), ("p", "a", "q"), ("q", "a", "q")],
+            [("p", "a", "q")],
+            [("p", "a", "p"), ("p", EPSILON, "q"), ("q", "a", "q")],
+        ],
+        ids=["nondeterministic", "partial", "epsilon"],
+    )
+    def test_rejects_input_that_is_not_a_total_dfa(self, transitions):
+        d = Fsa.make(transitions, ["p"], ["q"], alphabet=["a"])
+        with pytest.raises(ValueError):
+            minimize(d)
 
     def test_no_final_states_collapse_to_one(self):
         a = random_fsa(3)
@@ -391,12 +404,6 @@ class TestBrzozowski:
     def test_non_trim_not_applicable(self):
         a = Fsa.make([("q0", "a", "q1")], ["q0"], [], alphabet=["a"])
         assert check_brzozowski(a) is None
-
-
-class TestDfaType:
-    def test_rejects_nondeterministic(self):
-        with pytest.raises(ValueError):
-            Dfa(("a",), ("q0",), frozenset({"q0"}), frozenset(), frozenset())
 
     def test_trim_then_reverse_feeds_brzozowski(self):
         d = subset_to_dfa(subset_construct(gen_moore(3)))

@@ -3,8 +3,9 @@ must match a fixture captured once from a reference build of the library.
 
 For every automaton of ``build_random_nfas()`` plus ``build_families()`` the
 fixture holds one compact JSON line with its state complexity, its shortest
-rejected word, the SHA-256 of the serialized minimal DFA (so ``minimize``
-output, state names included, stays byte-identical) and the shortest word
+rejected word, the SHA-256 of the serialized subset DFA and of the serialized
+minimal DFA (so ``subset_to_dfa`` and ``minimize`` output, state names
+included, stays byte-identical) and the shortest word
 telling it apart from the next automaton of the list (the last one is
 compared with the first).
 
@@ -47,13 +48,18 @@ def _word(w) -> list[str] | None:
     return None if w is None else list(w)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _answers(a, b) -> dict:
-    minimal = serialize_fsa(minimize(subset_to_dfa(subset_construct(a))))
+    dfa = subset_to_dfa(subset_construct(a))
     return {
         "state_complexity": state_complexity(a),
         "universality_witness": _word(universality_witness(a)),
-        "minimize_sha256": hashlib.sha256(minimal.encode("utf-8")).hexdigest(),
+        "minimize_sha256": _sha256(serialize_fsa(minimize(dfa))),
         "distinguishing_word_next": _word(distinguishing_word(a, b)),
+        "determinize_sha256": _sha256(serialize_fsa(dfa)),
     }
 
 

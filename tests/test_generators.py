@@ -225,6 +225,11 @@ class TestRandom:
             assert a.states
             assert is_trim(a)
 
+    @pytest.mark.parametrize("flag", ["force_trim", "force_codeterministic"])
+    def test_retries_exhausted_raise_value_error(self, flag):
+        with pytest.raises(ValueError, match="retries exhausted"):
+            gen_random(RandomNfaSpec(n=3, final_density=0.0, **{flag: True}))
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             RandomNfaSpec(n=0)

@@ -15,14 +15,14 @@ from .bounds import DEFAULT_MONOID_CAP, full_report, render_report_text, report_
 from .determinize import (
     DEFAULT_MAX_STATES,
     BlowUpError,
+    SubsetAutomaton,
+    _minimal_rows,
     distinguishing_word,
     state_complexity,
-    minimize,
     subset_construct,
-    subset_to_dfa,
     universality_witness,
 )
-from .fsa import EPSILON, Fsa, parse_fsa, remove_epsilon, serialize_fsa
+from .fsa import EPSILON, Fsa, _serialize_dfa, parse_fsa, remove_epsilon, serialize_fsa
 from .generators import (
     RandomNfaSpec,
     gen_meyer_fischer,
@@ -152,13 +152,22 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, str]:
+    """State count and ``serialize_fsa`` text of ``subset_to_dfa(s)``, or of
+    its ``minimize`` when ``minimal``, written with no named ``Fsa``."""
+    if minimal:
+        rows, final_flags = _minimal_rows(s.transitions, s.final_flags, 0)
+        if len(rows) < s.n:
+            names = [f"m{i}" for i in range(len(rows))]
+            return len(rows), _serialize_dfa(s.base.alphabet, names, rows, final_flags)
+    return s.n, _serialize_dfa(s.base.alphabet, s.names, s.transitions, s.final_flags)
+
+
 def _cmd_determinize(args) -> int:
     a = _load(args, args.input)
-    d = subset_to_dfa(subset_construct(a, args.max_states))
-    if args.command == "minimize":
-        d = minimize(d)
-    print(d.n, file=sys.stderr)
-    _write(args, serialize_fsa(d))
+    n, text = _dfa_text(subset_construct(a, args.max_states), args.command == "minimize")
+    print(n, file=sys.stderr)
+    _write(args, text)
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .boolmat import image_table, transition_matrices
+from .boolmat import _bits, image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
@@ -62,12 +62,14 @@ class SubsetAutomaton:
     def n(self) -> int:
         return len(self.subsets)
 
-    def members(self, i: int) -> tuple[str, ...]:
-        """Base-state names in subset i, in base index order."""
-        return tuple(q for k, q in enumerate(self.base.states) if (self.subsets[i] >> k) & 1)
-
-    def state_name(self, i: int) -> str:
-        return f"S{i}=" + ",".join(self.members(i))
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """``S<i>=`` and the base states of subset i, comma-separated in base
+        index order, as in ``S0=q1,q2``."""
+        states = self.base.states
+        return tuple(
+            f"S{i}=" + ",".join([states[k] for k in _bits(mask)]) for i, mask in enumerate(self.subsets)
+        )
 
     @cached_property
     def symbol_index(self) -> dict[str, int]:
@@ -138,14 +140,12 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
 
 def subset_to_dfa(s: SubsetAutomaton) -> Fsa:
     """The subset automaton as an ``Fsa``: a total DFA with state 0 initial,
-    whose state names encode their subsets, as in ``S0=q1,q2``."""
-    names = [s.state_name(i) for i in range(s.n)]
+    named as in ``SubsetAutomaton.names``."""
+    names = s.names
     trans = frozenset(
-        (names[i], sym, names[s.transitions[i][k]])
-        for i in range(s.n)
-        for k, sym in enumerate(s.base.alphabet)
+        (names[i], sym, names[j]) for i, row in enumerate(s.transitions) for sym, j in zip(s.base.alphabet, row)
     )
-    final = frozenset(names[i] for i in range(s.n) if s.final_flags[i])
+    final = frozenset(name for name, f in zip(names, s.final_flags) if f)
     return Fsa(s.base.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 
@@ -187,6 +187,25 @@ def _refine(transitions, final_flags) -> list[int]:
     return [ids.setdefault(b, len(ids)) for b in block_of]
 
 
+def _minimal_rows(rows, final_flags, start: int) -> tuple[list[list[int]], list[bool]]:
+    """Successor rows (one entry per symbol) and final flags of the minimal
+    DFA of the total DFA with initial state ``start``, numbered as in
+    ``minimize``; as many rows as given means that DFA is minimal already."""
+    order = [start]
+    index = {start: 0}
+    for q in order:
+        for r in rows[q]:
+            if r not in index:
+                index[r] = len(order)
+                order.append(r)
+    bfs_rows = [[index[r] for r in rows[q]] for q in order]
+    bfs_final = [final_flags[q] for q in order]
+    block = _refine(bfs_rows, bfs_final)
+    member = dict(zip(block, range(len(block))))  # equivalent states: any one stands for its block
+    reps = [member[b] for b in range(len(member))]
+    return [[block[j] for j in bfs_rows[i]] for i in reps], [bfs_final[i] for i in reps]
+
+
 def minimize(d: Fsa) -> Fsa:
     """Minimal total DFA for the same language, unique up to renaming.
 
@@ -200,26 +219,19 @@ def minimize(d: Fsa) -> Fsa:
     """
     if not is_deterministic(d):
         raise ValueError("minimize needs a total DFA with one initial state")
-    start = next(iter(d.initial))
-    succ: dict[tuple[str, str], str] = {(src, sym): dst for src, sym, dst in d.transitions}
-    order = [start]
-    index = {start: 0}
-    for q in order:
-        for sym in d.alphabet:
-            r = succ[(q, sym)]
-            if r not in index:
-                index[r] = len(order)
-                order.append(r)
-    rows = [[index[succ[(q, sym)]] for sym in d.alphabet] for q in order]
-    block = _refine(rows, [q in d.final for q in order])
-    k = max(block) + 1
-    if k == d.n:
+    index = d.state_index
+    column = {sym: k for k, sym in enumerate(d.alphabet)}
+    rows = [[0] * len(column) for _ in d.states]
+    for src, sym, dst in d.transitions:
+        rows[index[src]][column[sym]] = index[dst]
+    min_rows, min_final = _minimal_rows(rows, [q in d.final for q in d.states], index[next(iter(d.initial))])
+    if len(min_rows) == d.n:
         return d
-    names = [f"m{i}" for i in range(k)]
+    names = [f"m{i}" for i in range(len(min_rows))]
     trans = frozenset(
-        (names[block[i]], sym, names[block[j]]) for i, row in enumerate(rows) for sym, j in zip(d.alphabet, row)
+        (names[i], sym, names[j]) for i, row in enumerate(min_rows) for sym, j in zip(d.alphabet, row)
     )
-    final = frozenset(names[block[i]] for i, q in enumerate(order) if q in d.final)
+    final = frozenset(name for name, f in zip(names, min_final) if f)
     return Fsa(d.alphabet, tuple(names), frozenset({names[0]}), final, trans)
 
 

@@ -245,6 +245,21 @@ def serialize_fsa(a: Fsa) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _serialize_dfa(alphabet: tuple[str, ...], names, rows, final_flags) -> str:
+    """``serialize_fsa`` of the total DFA with state 0 initial whose state i is
+    ``names[i]``, steps to ``rows[i][k]`` on ``alphabet[k]`` and is final iff
+    ``final_flags[i]``, byte for byte, with no ``Fsa`` built. Every state has a
+    line per symbol, so the symbols' first use is their sorted order."""
+    lines = [] if sorted(alphabet) == list(alphabet) else ["@alphabet " + " ".join(alphabet)]
+    labels = [(k, f" {alphabet[k]} ") for k in sorted(range(len(alphabet)), key=alphabet.__getitem__)]
+    for name, row in zip(names, rows):
+        for k, label in labels:
+            lines.append(name + label + names[row[k]])
+    lines.append(f"@initial {names[0]}")
+    lines.extend(f"@final {name}" for name, final in zip(names, final_flags) if final)
+    return "\n".join(lines) + "\n"
+
+
 def _adjacency(a: Fsa) -> dict[str, dict[str, set[str]]]:
     adj: dict[str, dict[str, set[str]]] = {q: {} for q in a.states}
     for src, sym, dst in a.transitions:

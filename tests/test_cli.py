@@ -12,7 +12,7 @@ import detsize
 from detsize.bounds import full_report, report_from_dict, report_to_dict
 from detsize.cli import _build_parser, main
 from detsize.determinize import minimize, subset_construct, subset_to_dfa
-from detsize.fsa import accepts, parse_fsa, serialize_fsa
+from detsize.fsa import Fsa, accepts, parse_fsa, serialize_fsa
 from detsize.generators import (
     RandomNfaSpec,
     gen_meyer_fischer,
@@ -207,20 +207,64 @@ class TestMinimize:
         assert captured.err.strip() == "8"
 
 
-TEXT_CASES = [(f"family[{i}]", a) for i, a in enumerate(build_families())]
+# inputs that reach each rule of the CLI's DFA text writer; Moore 2 (whose
+# empty subset is reached as S3=) and Moore 6 (already minimal) are families
+EDGE_CASES = [
+    ("pinned-alphabet", Fsa.make([("q0", "a", "q1"), ("q1", "b", "q0")], ["q0"], ["q1"], alphabet=["b", "a"])),
+    ("string-order", Fsa.make([("q0", "a2", "q1"), ("q1", "a10", "q0"), ("q1", "b", "q1")], ["q0"], ["q1"])),
+    ("empty-alphabet", Fsa.make(states=["q0", "q1"], initial=["q0"], final=["q0"])),
+    ("comma-names", Fsa.make([("p,1", "a", "p,1"), ("p,1", "a", "p,2")], ["p,1"], ["p,2"])),
+    ("minimize-shrinks", Fsa.make([("q0", "a", "q1"), ("q1", "a", "q1")], ["q0"], ["q0", "q1"])),
+]
+TEXT_CASES = EDGE_CASES + [(f"family[{i}]", a) for i, a in enumerate(build_families())]
 TEXT_CASES += [(f"random[{i}]", a) for i, a in enumerate(build_random_nfas(50))]
+
+
+def _library_dfas(a: Fsa) -> dict[str, Fsa]:
+    """What each command writes, as the library builds it, for the automaton
+    the CLI reads from ``a``'s text: a text round trip may reorder states."""
+    dfa = subset_to_dfa(subset_construct(parse_fsa(serialize_fsa(a))))
+    return {"determinize": dfa, "minimize": minimize(dfa)}
 
 
 @pytest.mark.parametrize("a", [a for _, a in TEXT_CASES], ids=[name for name, _ in TEXT_CASES])
 def test_output_text_equals_library_text(a, tmp_path, capsys):
     path = write(tmp_path, "a.fsa", a)
-    # the automaton the CLI reads: a text round trip may reorder states
-    dfa = subset_to_dfa(subset_construct(parse_fsa(serialize_fsa(a))))
-    for command, want in (("determinize", dfa), ("minimize", minimize(dfa))):
+    for command, want in _library_dfas(a).items():
         assert main([command, path]) == 0
         captured = capsys.readouterr()
         assert captured.out == serialize_fsa(want)
         assert captured.err == f"{want.n}\n"
+
+
+def test_edge_cases_reach_each_writer_rule():
+    cases = dict(EDGE_CASES, moore2=gen_moore(2), moore6=gen_moore(6))
+    dfas = {name: _library_dfas(a) for name, a in cases.items()}
+    text = {name: serialize_fsa(d["determinize"]) for name, d in dfas.items()}
+    assert text["pinned-alphabet"].startswith("@alphabet b a\n")
+    assert text["string-order"].startswith("@alphabet a2 a10 b\nS0=q0 a10 ")
+    assert text["empty-alphabet"] == "@initial S0=q0\n@final S0=q0\n"
+    assert "S1=p,1,p,2 a S1=p,1,p,2\n" in text["comma-names"]
+    assert "S3= a S3=\n" in text["moore2"]
+    assert dfas["moore6"]["minimize"] is dfas["moore6"]["determinize"]
+    assert dfas["minimize-shrinks"]["minimize"].states == ("m0",)
+
+
+@pytest.mark.parametrize("command", ["determinize", "minimize"])
+def test_no_fsa_built_beyond_the_input(command, tmp_path, monkeypatch, capsys):
+    """The DFA text comes straight from the subset table: the only ``Fsa``
+    the command builds is the one it parses."""
+    path = write(tmp_path, "a.fsa", dict(EDGE_CASES)["minimize-shrinks"])
+    built = []
+    post_init = Fsa.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Fsa, "__post_init__", counting)
+    assert main([command, path]) == 0
+    assert len(built) == 1
 
 
 class TestStateComplexity:

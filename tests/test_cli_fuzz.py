@@ -6,7 +6,9 @@ options it declares, on small random automaton texts (at most 8 states and
 exit code 0, 1, 2 or 3; exit 1 is reserved for a negative ``universal`` or
 ``equiv`` verdict. The only exception allowed out of ``main`` is argparse's
 ``SystemExit(2)`` for a malformed command line, which an option declared
-only by another command must always give.
+only by another command must always give. A ``determinize`` or ``minimize``
+that succeeds must write ``serialize_fsa`` of the library's DFA for the
+automaton it read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from detsize.cli import main
+from detsize.determinize import minimize, subset_construct, subset_to_dfa
+from detsize.fsa import parse_fsa, remove_epsilon, serialize_fsa
 
 SYMBOLS = ("a", "b", "c")
 
@@ -136,12 +140,17 @@ def test_cli_exit_codes(invocation):
             paths[key] = str(Path(tmp) / f"{key}.fsa")
             Path(paths[key]).write_text(text, encoding="utf-8")
         args = [arg.format(**paths) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
             try:
                 code = main(args)
             except SystemExit as exc:
                 assert exc.code == 2, f"{args}: argparse exit {exc.code}"
                 return
+        if code == 0 and args[0] in ("determinize", "minimize"):
+            written = Path(paths["OUT"]).read_text(encoding="utf-8") if "--out" in argv else out.getvalue()
+            dfa = subset_to_dfa(subset_construct(remove_epsilon(parse_fsa(texts["A"]))))
+            want = minimize(dfa) if args[0] == "minimize" else dfa
+            assert written == serialize_fsa(want), f"{args}: output differs from the library's"
     assert not foreign, f"{args}: an option the command does not declare was accepted"
     assert code in (0, 1, 2, 3), f"{args}: exit {code}"
     if code == 1:

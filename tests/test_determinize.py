@@ -70,7 +70,8 @@ class TestSubsetConstruct:
         a = random_fsa(seed, n=6)
         s = subset_construct(a)
         expected = accessible_subsets(a)
-        got = {frozenset(s.members(i)) for i in range(s.n)}
+        # base names here hold no comma, so each name splits back into its subset
+        got = {frozenset(name.partition("=")[2].split(",")) - {""} for name in s.names}
         assert got == expected
 
     def test_meyer_fischer3_counts(self):
@@ -83,7 +84,7 @@ class TestSubsetConstruct:
         # hand-traced: pop {q1} pushing {q2}; pop {q2} pushing {q1,q2} then
         # the empty subset, which is popped first
         s = subset_construct(gen_moore(2))
-        assert [s.state_name(i) for i in range(s.n)] == ["S0=q1", "S1=q2", "S2=q1,q2", "S3="]
+        assert s.names == ("S0=q1", "S1=q2", "S2=q1,q2", "S3=")
         assert s.transitions == ((1, 0), (2, 3), (2, 0), (3, 3))
         assert s.final_flags == (False, True, True, False)
 

@@ -5,9 +5,10 @@ For every automaton of ``build_random_nfas()`` plus ``build_families()`` the
 fixture holds one compact JSON line with its state complexity, its shortest
 rejected word, the SHA-256 of the serialized subset DFA and of the serialized
 minimal DFA (so ``subset_to_dfa`` and ``minimize`` output, state names
-included, stays byte-identical) and the shortest word
-telling it apart from the next automaton of the list (the last one is
-compared with the first).
+included, stays byte-identical) and the shortest word telling it apart from
+the next automaton of the list (the last one is compared with the first).
+The text the ``determinize`` and ``minimize`` commands write straight from
+the subset table is held to the same two hashes.
 
 To recapture (only when an answer is meant to change), run from the repo root:
 
@@ -22,6 +23,7 @@ import json
 import sys
 from pathlib import Path
 
+from detsize.cli import _dfa_text
 from detsize.determinize import (
     distinguishing_word,
     minimize,
@@ -53,18 +55,23 @@ def _sha256(text: str) -> str:
 
 
 def _answers(a, b) -> dict:
-    dfa = subset_to_dfa(subset_construct(a))
+    s = subset_construct(a)
+    dfa = subset_to_dfa(s)
     return {
         "state_complexity": state_complexity(a),
         "universality_witness": _word(universality_witness(a)),
         "minimize_sha256": _sha256(serialize_fsa(minimize(dfa))),
         "distinguishing_word_next": _word(distinguishing_word(a, b)),
         "determinize_sha256": _sha256(serialize_fsa(dfa)),
+        # not written to the fixture
+        "cli_determinize_sha256": _sha256(_dfa_text(s, False)[1]),
+        "cli_minimize_sha256": _sha256(_dfa_text(s, True)[1]),
     }
 
 
 def _line(a, b) -> str:
-    return json.dumps(_answers(a, b), separators=(",", ":"))
+    answers = {key: value for key, value in _answers(a, b).items() if not key.startswith("cli_")}
+    return json.dumps(answers, separators=(",", ":"))
 
 
 def test_answers_match_fixture():
@@ -76,6 +83,8 @@ def test_answers_match_fixture():
         got = _answers(a, b)
         for key, value in want.items():
             assert got[key] == value, f"first differing case: {name} {key}\n got: {got[key]}\nwant: {value}"
+        for key in ("determinize_sha256", "minimize_sha256"):
+            assert got[f"cli_{key}"] == want[key], f"first differing case: {name} cli_{key}"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .fsa import Fsa
 
@@ -83,13 +83,7 @@ class BoolMatrix:
         """Boolean matrix product: (a.b)(i,k) = OR_j a(i,j) and b(j,k)."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        rows = []
-        for r in self.rows:
-            acc = 0
-            for j in _bits(r):
-                acc |= other.rows[j]
-            rows.append(acc)
-        return BoolMatrix(self.n, tuple(rows))
+        return BoolMatrix(self.n, tuple(map(other.apply, self.rows)))
 
     def apply(self, v: int) -> int:
         """Row-vector application v.self; equals the subset-construction
@@ -168,55 +162,41 @@ def rank_gf2(m: BoolMatrix) -> int:
     return len(basis)
 
 
-def strongly_connected_components(m: BoolMatrix) -> list[list[int]]:
-    """Maximal strongly connected components of the matrix support graph
-    (iterative Tarjan); components are returned in a deterministic order."""
-    n, rows = m.n, m.rows
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if order[root] != -1:
+def _forest(succ: Sequence[int], roots: Iterable[int]) -> Iterator[list[int]]:
+    """Depth-first trees over the graph in which vertex v has the successor
+    bitset ``succ[v]``, one grown from each root not yet reached, always
+    stepping to the lowest unseen successor. Yields each tree's vertices in
+    the order they finish."""
+    unseen = (1 << len(succ)) - 1
+    for root in roots:
+        if not (unseen >> root) & 1:
             continue
-        work: list[tuple[int, Iterator[int]]] = [(root, _bits(rows[root]))]
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if order[w] == -1:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, _bits(rows[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.reverse()
-                sccs.append(comp)
-    return sccs
+        unseen ^= 1 << root
+        path, tree = [root], []
+        while path:
+            step = succ[path[-1]] & unseen
+            if step:
+                step &= -step
+                unseen ^= step
+                path.append(step.bit_length() - 1)
+            else:
+                tree.append(path.pop())
+        yield tree
+
+
+def strongly_connected_components(m: BoolMatrix) -> list[list[int]]:
+    """Maximal strongly connected components of the matrix support graph, by
+    Kosaraju's two depth-first sweeps: one over the rows gives the finishing
+    order, one over the predecessor bitsets in reverse finishing order grows
+    one component per tree. Components come sinks first, in the order the
+    first sweep finishes their earliest-reached vertex; each lists its
+    vertices in increasing order."""
+    preds = [0] * m.n
+    for u, r in enumerate(m.rows):
+        for v in _bits(r):
+            preds[v] |= 1 << u
+    finished = [v for tree in _forest(m.rows, range(m.n)) for v in tree]
+    return [sorted(tree) for tree in _forest(preds, reversed(finished))][::-1]
 
 
 def cyclicity(m: BoolMatrix) -> int:
@@ -224,31 +204,22 @@ def cyclicity(m: BoolMatrix) -> int:
     the cycle lengths inside each component.
 
     Per component the gcd is computed from breadth-first levels: every
-    intra-component edge u -> v contributes level(u) - level(v) + 1.
-    Components without any cycle (single vertices lacking a self-loop)
-    contribute nothing, so an acyclic graph has cyclicity 1.
+    intra-component edge u -> v contributes level(u) - level(v) + 1. A
+    component without a cycle (one vertex lacking a self-loop) has no such
+    edge and contributes nothing, so an acyclic graph has cyclicity 1.
     """
     result = 1
     for comp in strongly_connected_components(m):
-        if len(comp) == 1:
-            q = comp[0]
-            if not (m.rows[q] >> q) & 1:
-                continue
-        members = set(comp)
+        inside = sum(1 << v for v in comp)
         level = {comp[0]: 0}
         queue = [comp[0]]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for v in _bits(m.rows[u]):
-                    if v in members and v not in level:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            queue = nxt
         g = 0
-        for u in comp:
-            for v in _bits(m.rows[u]):
-                if v in members:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        result = math.lcm(result, g)
+        for u in queue:
+            for v in _bits(m.rows[u] & inside):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+                g = math.gcd(g, level[u] + 1 - level[v])
+        if g:
+            result = math.lcm(result, g)
     return result

@@ -5,7 +5,6 @@ sandwich, and the all-but-one bound."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
@@ -112,9 +111,8 @@ def monoid_closure(
     lookups = [_ImageTable(g).__getitem__ for g in mats]
     identity = tuple(1 << i for i in range(n))
     elements: set[tuple[int, ...]] = {identity}
-    queue: deque[tuple[int, ...]] = deque([identity])
-    while queue:
-        current = queue.popleft()
+    queue = [identity]
+    for current in queue:
         for lookup in lookups:
             nxt = tuple(map(lookup, current))
             if nxt not in elements:

@@ -323,4 +323,5 @@ def check_brzozowski(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool | Non
     the precondition does not hold (the check is not applicable)."""
     if not (is_trim(a) and is_codeterministic(a)):
         return None
-    return subset_construct(a, max_states).n == state_complexity(a, max_states)
+    s = subset_construct(a, max_states)
+    return s.n == max(_refine(s.transitions, s.final_flags)) + 1

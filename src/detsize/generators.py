@@ -204,7 +204,6 @@ def gen_random(spec: RandomNfaSpec) -> Fsa:
 
     rng = random.Random(spec.seed)
     states = tuple(f"s{i}" for i in range(spec.n))
-    result = None
     for _ in range(_RANDOM_RETRIES):
         trans = frozenset(
             (q, sym, r)
@@ -215,15 +214,12 @@ def gen_random(spec: RandomNfaSpec) -> Fsa:
         )
         initial = frozenset(q for q in states if rng.random() < spec.initial_density)
         final = frozenset(q for q in states if rng.random() < spec.final_density)
-        candidate = Fsa(alphabet, states, initial, final, trans)
-        if not spec.force_trim:
-            result = candidate
+        result = Fsa(alphabet, states, initial, final, trans)
+        if spec.force_trim:
+            result = trim(result)
+        if result.states:
             break
-        trimmed = trim(candidate)
-        if trimmed.states:
-            result = trimmed
-            break
-    if result is None:
+    else:
         raise ValueError("retries exhausted: the sampled language stayed empty")
     if spec.force_total:
         result = complete_with_dead_state(result)

@@ -257,6 +257,45 @@ class TestCyclicity:
                     expected = math.lcm(expected, math.gcd(*lengths))
             assert cyclicity(m) == expected
 
+    def test_partition_matches_oracle_up_to_sixty_vertices(self):
+        """Kosaraju's oracle over dicts of sets gives the same partition; the
+        components come sinks first (no edge leads to a later component) and
+        list their vertices in increasing order."""
+        from oracles import _scc_labels
+
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            m = random_matrix(rng, n, rng.choice([0.5, 1.5, 3.0]) / n)
+            adj = adjacency(m)
+            comps = strongly_connected_components(m)
+            labels = _scc_labels(adj, n)
+            assert {frozenset(comp) for comp in comps} == {
+                frozenset(v for v in range(n) if labels[v] == label) for label in set(labels)
+            }
+            assert sum(map(len, comps)) == n
+            position = {v: k for k, comp in enumerate(comps) for v in comp}
+            for u in range(n):
+                assert all(position[v] <= position[u] for v in adj[u])
+            assert all(comp == sorted(comp) for comp in comps)
+
+    def test_incomparable_components_in_finishing_order(self):
+        # the search from 0 steps to 1 before 2, so {1} finishes before {2, 3}
+        m = BoolMatrix.from_pairs(4, [(0, 2), (0, 1), (2, 3), (3, 2)])
+        assert strongly_connected_components(m) == [[1], [2, 3], [0]]
+
+    def test_long_cycle_is_one_component(self):
+        n = 20_000
+        m = BoolMatrix.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+        assert strongly_connected_components(m) == [list(range(n))]
+        assert cyclicity(m) == n
+
+    def test_long_path_is_all_singletons(self):
+        n = 20_000
+        m = BoolMatrix.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+        assert strongly_connected_components(m) == [[v] for v in reversed(range(n))]
+        assert cyclicity(m) == 1
+
 
 class TestTransitionMatrices:
     def test_moore_structure(self):

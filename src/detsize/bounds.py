@@ -24,6 +24,7 @@ from .fsa import Fsa
 
 DEFAULT_MONOID_CAP = 100_000
 DEFAULT_ESTIMATE_CONSTANT = 2
+_MAX_ROW_ID = 0x10FFFF  # sys.maxunicode: a monoid closure's row ids are code points
 
 # subset complexity enumerates all 2**|alphabet| splits, so it is refused above this
 _MAX_SPLIT_SYMBOLS = 16
@@ -54,19 +55,24 @@ class MonoidClosure:
     """A set of Boolean matrices containing the identity and, unless capped,
     closed under right-multiplication by the generators.
 
-    ``rows`` holds each element as a row tuple of dimension ``n``; ``capped``
-    is set when enumeration stopped at ``cap`` elements. ``size`` counts the
-    elements, and ``elements`` builds them as ``BoolMatrix`` on first access.
+    ``packed`` lists the elements in breadth-first order as strings whose i-th
+    code point is the id of row i, ``row_of_id`` maps ids to row bitmasks, and
+    ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
     """
 
-    rows: frozenset[tuple[int, ...]]
+    packed: tuple[str, ...]
+    row_of_id: tuple[int, ...]
     n: int
     capped: bool
     cap: int
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
+
+    @cached_property
+    def rows(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(tuple(self.row_of_id[i] for i in map(ord, x)) for x in self.packed)
 
     @cached_property
     def elements(self) -> frozenset[BoolMatrix]:
@@ -74,15 +80,20 @@ class MonoidClosure:
 
 
 class _ImageTable(dict):
-    """v -> v.g for one generator g, each entry computed on first lookup. In a
-    closure, v is a unit vector or a row of some y.h, so in the range of h: a
-    table never holds more than n plus the summed range sizes entries."""
+    """Row id -> id of row.g for one generator g, filled on first lookup; a new row
+    takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector
+    or in a generator's range: a table holds at most n plus the summed range sizes."""
 
-    def __init__(self, g: BoolMatrix):
-        self.apply = g.apply
+    def __init__(self, g: BoolMatrix, ids: dict[int, int], rows: list[int]):
+        self.apply, self.ids, self.rows = g.apply, ids, rows
 
-    def __missing__(self, v: int) -> int:
-        return self.setdefault(v, self.apply(v))
+    def __missing__(self, i: int) -> int:
+        j = self.ids.setdefault(v := self.apply(self.rows[i]), len(self.rows))
+        if j == len(self.rows):
+            if j > _MAX_ROW_ID:
+                raise OverflowError("row ids exhausted")
+            self.rows.append(v)
+        return self.setdefault(i, j)
 
 
 def monoid_closure(
@@ -92,13 +103,14 @@ def monoid_closure(
     dim: int | None = None,
 ) -> MonoidClosure:
     """Closure of the given matrices under Boolean product, with the identity,
-    built breadth-first by right-multiplication on row tuples; x.g looks each
-    row of x up in g's image table.
+    built breadth-first by right-multiplication on strings of row ids (unit
+    vectors first); x.g is x.translate(table of g).
 
     With no generators the result is {identity}; ``dim`` must then supply the
     dimension. Enumeration stops with ``capped`` set once the element count
-    would exceed ``cap``, in which case exactly ``cap`` elements are kept;
-    generator order fixes the traversal, so the capped outcome is deterministic.
+    would exceed ``cap``, keeping exactly ``cap`` elements, or once the rows met
+    outnumber the code points (only at n >= 21); generator order fixes the
+    traversal, so the capped outcome is deterministic.
     """
     n = mats[0].n if mats else dim
     if n is None:
@@ -108,19 +120,23 @@ def monoid_closure(
             raise ValueError(f"dimension mismatch: {d} vs {n}")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    lookups = [_ImageTable(g).__getitem__ for g in mats]
-    identity = tuple(1 << i for i in range(n))
-    elements: set[tuple[int, ...]] = {identity}
-    queue = [identity]
-    for current in queue:
-        for lookup in lookups:
-            nxt = tuple(map(lookup, current))
-            if nxt not in elements:
-                if len(elements) >= cap:
-                    return MonoidClosure(rows=frozenset(elements), n=n, capped=True, cap=cap)
-                elements.add(nxt)
-                queue.append(nxt)
-    return MonoidClosure(rows=frozenset(elements), n=n, capped=False, cap=cap)
+    rows = [1 << i for i in range(n)]
+    ids = dict(zip(rows, range(n)))
+    tables = [_ImageTable(g, ids, rows) for g in mats]
+    queue = ["".join(map(chr, range(n)))]
+    seen = set(queue)
+    try:
+        for current in queue:
+            for table in tables:
+                nxt = current.translate(table)
+                if nxt not in seen:
+                    if len(queue) == cap:
+                        return MonoidClosure(tuple(queue), tuple(rows), n, True, cap)
+                    seen.add(nxt)
+                    queue.append(nxt)
+    except OverflowError:  # the next row id would pass _MAX_ROW_ID
+        return MonoidClosure(tuple(queue), tuple(rows), n, True, cap)
+    return MonoidClosure(tuple(queue), tuple(rows), n, False, cap)
 
 
 class _Analysis:
@@ -316,7 +332,10 @@ def full_report(
     its cap to record the actual size when feasible. Individual quantities
     that hit a cap are reported as None instead of raising. The all-but-one
     estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
-    report records as ``all_but_one_constant``."""
+    report records as ``all_but_one_constant``. Caps below 1 raise ValueError."""
+    for name, value in (("monoid_cap", monoid_cap), ("max_states", max_states)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     analysis = _Analysis(a, range_cap)
     try:
         ranges = analysis.range_sizes

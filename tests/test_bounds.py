@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from detsize.boolmat import BoolMatrix, RangeCapExceeded
+from detsize.boolmat import BoolMatrix, RangeCapExceeded, transition_matrices
 from detsize.bounds import (
     all_but_one_bound,
     full_report,
@@ -93,6 +93,7 @@ class TestMonoidClosure:
         # seeded relations of expected out-degree 2.5; each n sees the cap
         # both hit and not hit, so the traversal order is pinned too
         outcomes = set()
+        row_ids = 0
         for k in (1, 2, 3):
             rng = random.Random(100 * n + k)
             pairs = [
@@ -111,11 +112,33 @@ class TestMonoidClosure:
                 }
                 assert got == set(expected[:cap])
                 outcomes.add(c.capped)
+                row_ids = max(row_ids, len(c.row_of_id))
         assert outcomes == {False, True}
+        # at n = 20 a closure meets more than 256 distinct rows, so its
+        # elements hold code points beyond Latin-1
+        assert n < 20 or row_ids > 255
+
+    def test_row_id_limit_stops_capped(self, monkeypatch):
+        a = gen_random(RandomNfaSpec(n=8, alphabet_size=2, density=0.3, seed=0))
+        gens = list(transition_matrices(a).values())
+        full = monoid_closure(gens, cap=10_000)
+        assert not full.capped and len(full.row_of_id) == 40
+        monkeypatch.setattr("detsize.bounds._MAX_ROW_ID", 29)
+        c = monoid_closure(gens, cap=10_000)
+        assert c.capped
+        assert c.size < full.size
+        assert len(c.row_of_id) == 30
+        assert c.rows < full.rows
+        report = full_report(a, monoid_cap=10_000)
+        assert report.monoid_bound is None
+        assert report.subset_size is not None and report.subset_complexity is not None
+        assert report.subset_size <= report.subset_complexity
 
     def test_elements_built_on_first_access(self):
         c = monoid_closure([cycle_matrix(5), BoolMatrix.identity(5)], cap=100)
         assert c.size == 5
+        assert "rows" not in vars(c) and "elements" not in vars(c)
+        assert c.rows == {tuple(1 << (i + k) % 5 for i in range(5)) for k in range(5)}
         assert "elements" not in vars(c)
         assert c.elements == {BoolMatrix(5, r) for r in c.rows}
 
@@ -350,3 +373,14 @@ class TestFullReport:
         assert report.range_bound == range_bound(a, range_cap=1) == 1
         assert (report.subset_complexity, report.subset_split) == subset_complexity(a, range_cap=1) == (1, ())
         assert report.subset_size == 1
+
+    def test_caps_checked_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the caps were checked")
+
+        monkeypatch.setattr("detsize.bounds.subset_construct", fail)
+        monkeypatch.setattr("detsize.bounds.transition_matrices", fail)
+        with pytest.raises(ValueError, match="monoid_cap must be at least 1"):
+            full_report(gen_moore(18), monoid_cap=0)
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            full_report(gen_moore(18), max_states=0)

@@ -321,6 +321,13 @@ class TestBounds:
             assert fields[name].isdigit(), name
         assert sum(line.startswith("symbol ") for line in result.stdout.splitlines()) == 17
 
+    @pytest.mark.parametrize("option, name", [("--monoid-cap", "monoid_cap"), ("--max-states", "max_states")])
+    def test_cap_below_one_is_usage_error(self, option, name, tmp_path):
+        result = run_cli("bounds", write(tmp_path, "m18.fsa", gen_moore(18)), option, "0")
+        assert result.returncode == 2
+        assert name in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_tree_format_round_trips(self, tmp_path, capsys):
         path = write(tmp_path, "u.fsa", gen_universal())
         assert main(["bounds", path, "--format", "tree"]) == 0

@@ -56,9 +56,8 @@ class BoolMatrix:
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        mask = (1 << self.n) - 1
         for r in self.rows:
-            if r < 0 or r & ~mask:
+            if r < 0 or r >> self.n:
                 raise ValueError("row bits outside matrix dimension")
 
     @classmethod

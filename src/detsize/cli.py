@@ -16,7 +16,7 @@ from .determinize import (
     DEFAULT_MAX_STATES,
     BlowUpError,
     SubsetAutomaton,
-    _minimal_rows,
+    _minimal_table,
     distinguishing_word,
     state_complexity,
     subset_construct,
@@ -155,12 +155,9 @@ def _cmd_gen(args) -> int:
 def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, str]:
     """State count and ``serialize_fsa`` text of ``subset_to_dfa(s)``, or of
     its ``minimize`` when ``minimal``, written with no named ``Fsa``."""
-    if minimal:
-        rows, final_flags = _minimal_rows(s.transitions, s.final_flags, 0)
-        if len(rows) < s.n:
-            names = [f"m{i}" for i in range(len(rows))]
-            return len(rows), _serialize_dfa(s.base.alphabet, names, rows, final_flags)
-    return s.n, _serialize_dfa(s.base.alphabet, s.names, s.transitions, s.final_flags)
+    table = _minimal_table(s.transitions, s.final_flags, 0) if minimal else None
+    names, rows, final_flags = table or (s.names, s.transitions, s.final_flags)
+    return len(rows), _serialize_dfa(s.base.alphabet, names, rows, final_flags)
 
 
 def _cmd_determinize(args) -> int:

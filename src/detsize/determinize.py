@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .boolmat import _bits, image_table, transition_matrices
+from .boolmat import BoolMatrix, _bits, image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
@@ -86,14 +86,15 @@ class SubsetAutomaton:
         return self.final_flags[self.run(word)]
 
 
-def _subset_steps(a: Fsa) -> tuple[list[Callable[[int], int]], int, int]:
-    """The subset-step function of each symbol in alphabet order, mapping a
-    subset bitmask to its successor, plus the initial subset and the final mask."""
-    mats = transition_matrices(a)
-    if a.n <= _TABLE_LIMIT:
-        steps = [image_table(mats[sym]).__getitem__ for sym in a.alphabet]
-    else:
-        steps = [mats[sym].apply for sym in a.alphabet]
+def _subset_steps(a: Fsa, alphabet: tuple[str, ...]) -> tuple[list[Callable[[int], int]], int, int]:
+    """The subset-step function of each symbol of ``alphabet`` in order, mapping
+    a subset bitmask of ``a`` to its successor, plus the initial subset and the
+    final mask. A symbol that ``a`` lacks steps every subset to the empty one,
+    through one zero matrix shared by all such symbols."""
+    by_symbol = transition_matrices(a)
+    zero = BoolMatrix.zeros(a.n)
+    mats = [by_symbol.get(sym, zero) for sym in alphabet]
+    steps = [image_table(m).__getitem__ if a.n <= _TABLE_LIMIT else m.apply for m in mats]
     idx = a.state_index
     init = sum(1 << idx[q] for q in a.initial)
     final_mask = sum(1 << idx[q] for q in a.final)
@@ -110,7 +111,7 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    steps, init, final_mask = _subset_steps(a)
+    steps, init, final_mask = _subset_steps(a, a.alphabet)
     index: dict[int, int] = {init: 0}
     order: list[int] = [init]
     rows: dict[int, list[int]] = {}
@@ -138,15 +139,18 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     )
 
 
+def _named_dfa(alphabet: tuple[str, ...], names, rows, final_flags) -> Fsa:
+    """The total DFA with state 0 initial whose state i is ``names[i]``, steps
+    to ``rows[i][k]`` on ``alphabet[k]`` and is final iff ``final_flags[i]``."""
+    trans = frozenset((names[i], sym, names[j]) for i, row in enumerate(rows) for sym, j in zip(alphabet, row))
+    final = frozenset(name for name, f in zip(names, final_flags) if f)
+    return Fsa(alphabet, tuple(names), frozenset({names[0]}), final, trans)
+
+
 def subset_to_dfa(s: SubsetAutomaton) -> Fsa:
     """The subset automaton as an ``Fsa``: a total DFA with state 0 initial,
     named as in ``SubsetAutomaton.names``."""
-    names = s.names
-    trans = frozenset(
-        (names[i], sym, names[j]) for i, row in enumerate(s.transitions) for sym, j in zip(s.base.alphabet, row)
-    )
-    final = frozenset(name for name, f in zip(names, s.final_flags) if f)
-    return Fsa(s.base.alphabet, tuple(names), frozenset({names[0]}), final, trans)
+    return _named_dfa(s.base.alphabet, s.names, s.transitions, s.final_flags)
 
 
 def _refine(transitions, final_flags) -> list[int]:
@@ -187,10 +191,11 @@ def _refine(transitions, final_flags) -> list[int]:
     return [ids.setdefault(b, len(ids)) for b in block_of]
 
 
-def _minimal_rows(rows, final_flags, start: int) -> tuple[list[list[int]], list[bool]]:
-    """Successor rows (one entry per symbol) and final flags of the minimal
-    DFA of the total DFA with initial state ``start``, numbered as in
-    ``minimize``; as many rows as given means that DFA is minimal already."""
+def _minimal_table(rows, final_flags, start: int) -> tuple[list[str], list[list[int]], list[bool]] | None:
+    """State names, successor rows (one entry per symbol) and final flags of
+    the minimal DFA of the total DFA with successor ``rows``, ``final_flags``
+    and initial state ``start``, numbered and named as in ``minimize``; None
+    when that DFA is minimal already (every state reachable, none merged)."""
     order = [start]
     index = {start: 0}
     for q in order:
@@ -202,8 +207,11 @@ def _minimal_rows(rows, final_flags, start: int) -> tuple[list[list[int]], list[
     bfs_final = [final_flags[q] for q in order]
     block = _refine(bfs_rows, bfs_final)
     member = dict(zip(block, range(len(block))))  # equivalent states: any one stands for its block
+    if len(member) == len(rows):
+        return None
     reps = [member[b] for b in range(len(member))]
-    return [[block[j] for j in bfs_rows[i]] for i in reps], [bfs_final[i] for i in reps]
+    names = [f"m{b}" for b in range(len(reps))]
+    return names, [[block[j] for j in bfs_rows[i]] for i in reps], [bfs_final[i] for i in reps]
 
 
 def minimize(d: Fsa) -> Fsa:
@@ -224,27 +232,14 @@ def minimize(d: Fsa) -> Fsa:
     rows = [[0] * len(column) for _ in d.states]
     for src, sym, dst in d.transitions:
         rows[index[src]][column[sym]] = index[dst]
-    min_rows, min_final = _minimal_rows(rows, [q in d.final for q in d.states], index[next(iter(d.initial))])
-    if len(min_rows) == d.n:
-        return d
-    names = [f"m{i}" for i in range(len(min_rows))]
-    trans = frozenset(
-        (names[i], sym, names[j]) for i, row in enumerate(min_rows) for sym, j in zip(d.alphabet, row)
-    )
-    final = frozenset(name for name, f in zip(names, min_final) if f)
-    return Fsa(d.alphabet, tuple(names), frozenset({names[0]}), final, trans)
+    table = _minimal_table(rows, [q in d.final for q in d.states], index[next(iter(d.initial))])
+    return d if table is None else _named_dfa(d.alphabet, *table)
 
 
 def state_complexity(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Number of states of the minimal total DFA equivalent to ``a``."""
     s = subset_construct(a, max_states)
     return max(_refine(s.transitions, s.final_flags)) + 1
-
-
-def _widen(a: Fsa, alphabet: tuple[str, ...]) -> Fsa:
-    if alphabet == a.alphabet:
-        return a
-    return Fsa(alphabet, a.states, a.initial, a.final, a.transitions)
 
 
 def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable, max_states: int) -> Word | None:
@@ -289,8 +284,8 @@ def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) ->
     The search runs over pairs of subsets and stops at the first witness;
     ``max_states`` bounds the distinct subsets it discovers of each automaton.
     """
-    union = a.alphabet + tuple(sym for sym in b.alphabet if sym not in set(a.alphabet))
-    sides = [_subset_steps(_widen(a, union)), _subset_steps(_widen(b, union))]
+    union = tuple(dict.fromkeys(a.alphabet + b.alphabet))
+    sides = [_subset_steps(a, union), _subset_steps(b, union)]
     final_a, final_b = sides[0][2], sides[1][2]
     return _shortest_word(union, sides, lambda node: bool(node[0] & final_a) != bool(node[1] & final_b), max_states)
 
@@ -308,7 +303,7 @@ def universality_witness(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word |
     search runs over subsets and stops at the first witness; ``max_states``
     bounds the distinct subsets it discovers.
     """
-    side = _subset_steps(a)
+    side = _subset_steps(a, a.alphabet)
     return _shortest_word(a.alphabet, [side], lambda node: not node[0] & side[2], max_states)
 
 

@@ -111,32 +111,16 @@ class Fsa:
         states: Iterable[str] = (),
         alphabet: Iterable[str] = (),
     ) -> "Fsa":
-        """Build an automaton, inferring state and alphabet order from first use."""
+        """Build an automaton, inferring state and alphabet order from first use:
+        ``states``, then transition endpoints, then initial and final states;
+        ``alphabet``, then the other transition symbols."""
         transitions = [tuple(t) for t in transitions]
         initial = list(initial)
         final = list(final)
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def declare(q: str) -> None:
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-
-        for q in states:
-            declare(q)
-        for src, _, dst in transitions:
-            declare(src)
-            declare(dst)
-        for q in initial + final:
-            declare(q)
-        syms: list[str] = list(alphabet)
-        sym_seen = set(syms)
-        for _, sym, _ in transitions:
-            if sym != EPSILON and sym not in sym_seen:
-                sym_seen.add(sym)
-                syms.append(sym)
-        return cls(tuple(syms), tuple(order), frozenset(initial), frozenset(final), frozenset(transitions))
+        alphabet = tuple(alphabet)
+        order = dict.fromkeys([*states, *(q for src, _, dst in transitions for q in (src, dst)), *initial, *final])
+        extra = (sym for sym in dict.fromkeys(t[1] for t in transitions) if sym != EPSILON and sym not in alphabet)
+        return cls(alphabet + tuple(extra), tuple(order), frozenset(initial), frozenset(final), frozenset(transitions))
 
     @property
     def n(self) -> int:
@@ -161,20 +145,17 @@ def parse_fsa(text: str) -> Fsa:
     indexing follows first-appearance order.
     """
     pinned: list[str] | None = None
-    states: list[str] = []
-    state_seen: set[str] = set()
-    symbols: list[str] = []
-    symbol_seen: set[str] = set()
+    states: dict[str, None] = {}  # insertion-ordered: first use fixes the index
+    symbols: dict[str, None] = {}
     initial: list[str] = []
     final: list[str] = []
     transitions: list[tuple[str, str, str]] = []
 
     def declare_state(name: str, lineno: int) -> None:
-        if name not in state_seen:
+        if name not in states:
             if not _valid_state(name):
                 raise ParseError(f"invalid state name {name!r}", lineno)
-            state_seen.add(name)
-            states.append(name)
+            states[name] = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -207,11 +188,10 @@ def parse_fsa(text: str) -> Fsa:
             src, sym, dst = tokens
             declare_state(src, lineno)
             declare_state(dst, lineno)
-            if sym != EPSILON and sym not in symbol_seen:
+            if sym != EPSILON and sym not in symbols:
                 if pinned is not None and sym not in pinned:
                     raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
-                symbol_seen.add(sym)
-                symbols.append(sym)
+                symbols[sym] = None
             transitions.append((src, sym, dst))
 
     if not states:
@@ -230,14 +210,9 @@ def serialize_fsa(a: Fsa) -> str:
     """
     idx = a.state_index
     trans = sorted(a.transitions, key=lambda t: (idx[t[0]], t[1], idx[t[2]]))
-    first_use: list[str] = []
-    seen: set[str] = set()
-    for _, sym, _ in trans:
-        if sym != EPSILON and sym not in seen:
-            seen.add(sym)
-            first_use.append(sym)
+    first_use = tuple(sym for sym in dict.fromkeys(t[1] for t in trans) if sym != EPSILON)
     lines: list[str] = []
-    if tuple(first_use) != a.alphabet:
+    if first_use != a.alphabet:
         lines.append("@alphabet" + "".join(" " + s for s in a.alphabet))
     lines.extend(f"{src} {sym} {dst}" for src, sym, dst in trans)
     lines.extend(f"@initial {q}" for q in a.states if q in a.initial)
@@ -342,15 +317,10 @@ def is_total(a: Fsa) -> bool:
 
 def is_deterministic(a: Fsa) -> bool:
     """True iff there is a unique initial state and every (state, symbol) pair
-    has exactly one successor."""
-    if len(a.initial) != 1:
-        return False
-    count: dict[tuple[str, str], int] = {}
-    for src, sym, _ in a.transitions:
-        if sym == EPSILON:
-            return False
-        count[(src, sym)] = count.get((src, sym), 0) + 1
-    return all(count.get((q, w), 0) == 1 for q in a.states for w in a.alphabet)
+    has exactly one successor. The transitions form a set, so that holds iff no
+    pair lacks a successor and there are n * |alphabet| transitions, which
+    leaves no room for a second successor or an epsilon edge."""
+    return len(a.initial) == 1 and len(a.transitions) == a.n * len(a.alphabet) and not _missing_pairs(a)
 
 
 def is_codeterministic(a: Fsa) -> bool:

@@ -241,6 +241,17 @@ def agree_on_all_words(a: Fsa, subset_automaton, max_len: int):
     return None
 
 
+def deterministic_by_successor_count(a: Fsa) -> bool:
+    """One initial state, no epsilon edge, and a count of exactly one
+    successor for every (state, symbol) pair of the alphabet."""
+    if len(a.initial) != 1 or any(sym == EPSILON for _, sym, _ in a.transitions):
+        return False
+    count = {(q, sym): 0 for q in a.states for sym in a.alphabet}
+    for src, sym, _ in a.transitions:
+        count[(src, sym)] += 1
+    return all(c == 1 for c in count.values())
+
+
 def nfa_accepts_by_sets(a: Fsa, word: tuple[str, ...]) -> bool:
     table = step_table(a)
     cur: frozenset[str] = frozenset(a.initial)

@@ -44,6 +44,46 @@ def adjacency(m: BoolMatrix) -> dict[int, set[int]]:
 SHIFT3 = BoolMatrix.from_pairs(3, [(0, 1), (1, 2)])
 
 
+class TestBitBounds:
+    """Every row, and every vector given to ``apply``, is a bitset over the
+    n columns: no negative int and no bit at position n or above."""
+
+    @pytest.mark.parametrize("rows", [(1 << 3, 0, 0), (0, 0b1001, 0), (0, -1, 0)])
+    def test_constructor_refuses_row_outside(self, rows):
+        with pytest.raises(ValueError, match="row bits outside matrix dimension"):
+            BoolMatrix(3, rows)
+
+    @pytest.mark.parametrize("rows", [(0, 0), (0, 0, 0, 0)])
+    def test_constructor_refuses_wrong_row_count(self, rows):
+        with pytest.raises(ValueError, match="expected 3 rows"):
+            BoolMatrix(3, rows)
+
+    def test_constructor_accepts_top_bit(self):
+        assert BoolMatrix(3, (0b100, 0b111, 0)).rows == (4, 7, 0)
+
+    @pytest.mark.parametrize("v", [1 << 3, 0b1010, -1])
+    def test_apply_refuses_vector_outside(self, v):
+        with pytest.raises(ValueError, match="vector bits outside matrix dimension"):
+            SHIFT3.apply(v)
+
+    def test_dimension_zero(self):
+        empty = BoolMatrix(0, ())
+        assert empty.apply(0) == 0
+        with pytest.raises(ValueError, match="expected 0 rows"):
+            BoolMatrix(0, (1,))
+        with pytest.raises(ValueError, match="vector bits outside"):
+            empty.apply(1)
+
+    def test_wide_matrix(self):
+        n = 20_000
+        m = BoolMatrix(n, (1 << (n - 1),) + (0,) * (n - 1))
+        assert m.apply(1) == 1 << (n - 1)
+        with pytest.raises(ValueError, match="vector bits outside"):
+            m.apply(1 << n)
+        with pytest.raises(ValueError, match="row bits outside"):
+            BoolMatrix(n, (0,) * (n - 1) + (1 << n,))
+
+
 class TestMultiply:
     def test_identity_is_neutral(self):
         rng = random.Random(0)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from detsize.determinize import (
+    _TABLE_LIMIT,
     BlowUpError,
     check_brzozowski,
     distinguishing_word,
@@ -48,6 +49,12 @@ def universal_moore(n: int) -> Fsa:
     with every state final: universal, with more than 2**(n-1) subsets."""
     m = gen_moore(n)
     return Fsa(m.alphabet, m.states, m.initial, frozenset(m.states), m.transitions | {(f"q{n}", "b", "q1")})
+
+
+def relabel(a: Fsa, rename: dict[str, str]) -> Fsa:
+    """``a`` with each symbol renamed through ``rename`` (the others kept)."""
+    trans = frozenset((p, rename.get(sym, sym), q) for p, sym, q in a.transitions)
+    return Fsa(tuple(rename.get(sym, sym) for sym in a.alphabet), a.states, a.initial, a.final, trans)
 
 
 def first_word(alphabet, max_len, predicate):
@@ -156,6 +163,14 @@ class TestMinimize:
         d = Fsa(("a", "b"), ("q",), frozenset({"q"}), frozenset({"q"}),
                 frozenset({("q", "a", "q"), ("q", "b", "q")}))
         assert minimize(d) is d
+
+    def test_unreachable_state_dropped_from_minimal_part(self):
+        # the reachable part is minimal already, but z is not reachable
+        loops = {(q, sym, q) for q in ("q", "z") for sym in ("a", "b")}
+        d = Fsa(("a", "b"), ("z", "q"), frozenset({"q"}), frozenset({"q"}), frozenset(loops))
+        m = minimize(d)
+        assert m.states == ("m0",)
+        assert m.transitions == {("m0", "a", "m0"), ("m0", "b", "m0")}
 
     @pytest.mark.parametrize(
         "transitions",
@@ -311,8 +326,35 @@ class TestEquivalent:
     def test_distinct_alphabets_use_union(self):
         a = Fsa.make([("q0", "a", "q0")], ["q0"], ["q0"])
         b = Fsa.make([("q0", "b", "q0")], ["q0"], ["q0"])
+        assert distinguishing_word(a, b) == ("a",)
+        assert distinguishing_word(b, a) == ("b",)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_overlapping_alphabets_witness_is_shortlex_least(self, seed):
+        # {a, b} against {b, c}: each side lacks one symbol of the union (a, b, c);
+        # b is the first later seed that agrees with a on the empty word, so
+        # the witness, if any, uses symbols
+        a = random_fsa(seed, n=4, density=0.4)
+        for other in range(seed + 500, seed + 600):
+            b = relabel(random_fsa(other, n=4, density=0.4), {"a": "b", "b": "c"})
+            if bool(a.initial & a.final) == bool(b.initial & b.final):
+                break
+        assert (a.alphabet, b.alphabet) == (("a", "b"), ("b", "c"))
+        assert bool(a.initial & a.final) == bool(b.initial & b.final)
         w = distinguishing_word(a, b)
-        assert w in (("a",), ("b",))
+        first = first_word(("a", "b", "c"), 5, lambda x: nfa_accepts_by_sets(a, x) != nfa_accepts_by_sets(b, x))
+        if first is not None:
+            assert w == first
+        else:
+            assert w is None or len(w) > 5
+
+    def test_missing_symbol_above_table_limit(self):
+        # 17 states, so the search steps through BoolMatrix.apply, not image tables
+        chain = Fsa.make([(f"q{i}", "a", f"q{i + 1}") for i in range(16)], ["q0"], [f"q{i}" for i in range(17)])
+        loop = Fsa.make([("p", "a", "p"), ("p", "c", "p")], ["p"], ["p"])
+        assert chain.n > _TABLE_LIMIT
+        assert distinguishing_word(chain, loop) == ("c",)
+        assert distinguishing_word(loop, chain) == ("c",)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_word_enumeration(self, seed):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detsize.determinize import subset_construct, subset_to_dfa
 from detsize.fsa import (
     EPSILON,
     Fsa,
@@ -22,7 +23,13 @@ from detsize.fsa import (
 )
 from detsize.generators import RandomNfaSpec, gen_moore, gen_random, gen_universal
 
-from oracles import accepts_by_path_search, fsa_equal_up_to_state_order, words_upto
+from conftest import two_state_universal
+from oracles import (
+    accepts_by_path_search,
+    deterministic_by_successor_count,
+    fsa_equal_up_to_state_order,
+    words_upto,
+)
 
 
 def random_fsa(seed: int, *, n: int = 5, sigma: int = 2, density: float = 0.3) -> Fsa:
@@ -155,6 +162,34 @@ class TestSerialize:
         assert fsa_equal_up_to_state_order(parse_fsa(serialize_fsa(a)), a)
 
 
+class TestFirstUseOrder:
+    """States and symbols are indexed in the order they are first used."""
+
+    def test_make_states(self):
+        a = Fsa.make(
+            [("p", "a", "q"), ("r", "b", "p")], initial=["i", "p"], final=["f", "q"], states=["s", "q"]
+        )
+        assert a.states == ("s", "q", "p", "r", "i", "f")
+
+    def test_make_symbols(self):
+        trans = [("p", "c", "p"), ("p", EPSILON, "p"), ("p", "a", "p"), ("p", "d", "p"), ("p", "c", "p")]
+        assert Fsa.make(trans, alphabet=["b", "a"]).alphabet == ("b", "a", "c", "d")
+        assert Fsa.make(trans).alphabet == ("c", "a", "d")
+
+    @pytest.mark.parametrize("alphabet", [("a", "a"), ("a", "b", "a")])
+    def test_make_refuses_duplicate_alphabet(self, alphabet):
+        with pytest.raises(ValueError, match="duplicate symbol"):
+            Fsa.make([("p", "a", "p")], alphabet=alphabet)
+
+    def test_parse_marker_before_transitions(self):
+        a = parse_fsa("@final f\n@initial i\np b q\nq <eps> i\nq a f\n")
+        assert a.states == ("f", "i", "p", "q")
+        assert a.alphabet == ("b", "a")
+
+    def test_parse_pinned_alphabet_keeps_its_order(self):
+        assert parse_fsa("p b q\n@alphabet c a b\nq a p\n").alphabet == ("c", "a", "b")
+
+
 class TestRemoveEpsilon:
     def test_identity_on_eps_free(self):
         a = random_fsa(11)
@@ -245,6 +280,34 @@ class TestDeterminism:
     def test_partial_automaton_is_not_deterministic(self):
         a = Fsa.make([("q0", "a", "q1")], ["q0"], ["q1"], alphabet=["a", "b"])
         assert not is_deterministic(a)
+
+    def test_total_with_parallel_edge_is_not(self):
+        # every pair has a successor, but (u0, a) has two: only the count tells
+        u2 = two_state_universal()
+        a = Fsa(u2.alphabet, u2.states, u2.initial, u2.final, u2.transitions | {("u0", "a", "u0")})
+        assert is_total(a)
+        assert not is_deterministic(a)
+
+    def test_epsilon_edge_is_not(self):
+        u2 = two_state_universal()
+        a = Fsa(u2.alphabet, u2.states, u2.initial, u2.final, u2.transitions | {("u0", EPSILON, "u1")})
+        assert not is_deterministic(a)
+
+    def test_two_initial_states_is_not(self):
+        u2 = two_state_universal()
+        assert not is_deterministic(Fsa(u2.alphabet, u2.states, frozenset(u2.states), u2.final, u2.transitions))
+
+    def test_zero_states_is_not(self):
+        assert not is_deterministic(Fsa())
+        assert not is_deterministic(Fsa(alphabet=("a",)))
+
+    def test_matches_successor_count(self, random_nfas, unary_nfas, total_nfas, codeterministic_nfas, family_nfas):
+        corpus = random_nfas + unary_nfas + total_nfas + codeterministic_nfas + family_nfas
+        dfas = [subset_to_dfa(subset_construct(remove_epsilon(a))) for a in corpus]
+        mismatches = [a for a in corpus + dfas if is_deterministic(a) != deterministic_by_successor_count(a)]
+        assert mismatches == []
+        assert all(map(is_deterministic, dfas))
+        assert sum(map(is_deterministic, corpus)) > 0
 
     def test_codeterministic_examples(self):
         assert is_codeterministic(gen_universal())

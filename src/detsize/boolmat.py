@@ -119,12 +119,11 @@ def transition_matrices(a: Fsa) -> dict[str, BoolMatrix]:
 
 
 def image_table(m: BoolMatrix) -> list[int]:
-    """tbl[v] = v.m for every subset bitmask v, computed in O(2**n)."""
-    tbl = [0] * (1 << m.n)
-    rows = m.rows
-    for v in range(1, 1 << m.n):
-        low = v & -v
-        tbl[v] = tbl[v ^ low] | rows[low.bit_length() - 1]
+    """tbl[v] = v.m for every subset bitmask v, in O(2**n): row i doubles the
+    table over rows 0..i-1, entry v + 2**i being entry v | row i."""
+    tbl = [0]
+    for r in m.rows:
+        tbl += [x | r for x in tbl]
     return tbl
 
 

@@ -113,8 +113,8 @@ def monoid_closure(
     traversal, so the capped outcome is deterministic.
     """
     n = mats[0].n if mats else dim
-    if n is None:
-        raise ValueError("dim is required when there are no generators")
+    if n is None or n < 0:
+        raise ValueError("with no generators, dim must be given and at least 0")
     for d in [m.n for m in mats] + ([] if dim is None else [dim]):
         if d != n:
             raise ValueError(f"dimension mismatch: {d} vs {n}")
@@ -332,10 +332,12 @@ def full_report(
     its cap to record the actual size when feasible. Individual quantities
     that hit a cap are reported as None instead of raising. The all-but-one
     estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
-    report records as ``all_but_one_constant``. Caps below 1 raise ValueError."""
-    for name, value in (("monoid_cap", monoid_cap), ("max_states", max_states)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
+    report records as ``all_but_one_constant``. A cap below its floor (0 for
+    ``range_cap``, 1 for the others) raises ValueError before any work."""
+    caps = (("monoid_cap", monoid_cap, 1), ("range_cap", range_cap, 0), ("max_states", max_states, 1))
+    for name, value, floor in caps:
+        if value < floor:
+            raise ValueError(f"{name} must be at least {floor}")
     analysis = _Analysis(a, range_cap)
     try:
         ranges = analysis.range_sizes

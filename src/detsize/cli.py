@@ -119,21 +119,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write(args, text: str) -> None:
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(str(exc)) from exc
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _load(args, path: str) -> Fsa:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            a = parse_fsa(fh.read())
-    except OSError as exc:
-        raise ValueError(str(exc)) from exc
+    with open(path, encoding="utf-8") as fh:
+        a = parse_fsa(fh.read())
     if a.has_epsilon:
         if args.no_eps_removal:
             raise ValueError(f"{path}: input has epsilon transitions")
@@ -208,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"blow-up abort: {exc.states_found} states found", file=sys.stderr)
         return EXIT_BLOWUP
-    except ValueError as exc:  # ParseError and RangeCapExceeded among them
+    except (OSError, ValueError) as exc:  # unreadable FILE, unwritable --out, ParseError, RangeCapExceeded
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .boolmat import BoolMatrix, _bits, image_table, transition_matrices
+from .boolmat import _bits, image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
@@ -89,33 +89,32 @@ class SubsetAutomaton:
 def _subset_steps(a: Fsa, alphabet: tuple[str, ...]) -> tuple[list[Callable[[int], int]], int, int]:
     """The subset-step function of each symbol of ``alphabet`` in order, mapping
     a subset bitmask of ``a`` to its successor, plus the initial subset and the
-    final mask. A symbol that ``a`` lacks steps every subset to the empty one,
-    through one zero matrix shared by all such symbols."""
-    by_symbol = transition_matrices(a)
-    zero = BoolMatrix.zeros(a.n)
-    mats = [by_symbol.get(sym, zero) for sym in alphabet]
-    steps = [image_table(m).__getitem__ if a.n <= _TABLE_LIMIT else m.apply for m in mats]
+    final mask. A symbol of ``a`` steps through its image table, or through
+    ``BoolMatrix.apply`` above ``_TABLE_LIMIT`` states; a symbol that ``a``
+    lacks steps every subset to the empty one, with no table."""
+    mats = transition_matrices(a)
+    by_symbol = {sym: image_table(m).__getitem__ if a.n <= _TABLE_LIMIT else m.apply for sym, m in mats.items()}
     idx = a.state_index
     init = sum(1 << idx[q] for q in a.initial)
     final_mask = sum(1 << idx[q] for q in a.final)
-    return steps, init, final_mask
+    return [by_symbol.get(sym, lambda subset: 0) for sym in alphabet], init, final_mask
 
 
 def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAutomaton:
     """Determinize by exploring accessible subsets with a LIFO stack.
 
     Popped subsets are expanded symbol by symbol in alphabet order; a subset is
-    numbered the first time it is seen, so two runs on the same input produce
-    identical numbering. Discovering more than ``max_states`` subsets raises
-    BlowUpError rather than truncating.
+    numbered by its insertion into ``index`` the first time it is seen, so two
+    runs on the same input number alike, and gets its row when popped.
+    Discovering more than ``max_states`` subsets raises BlowUpError rather
+    than truncating.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     steps, init, final_mask = _subset_steps(a, a.alphabet)
-    index: dict[int, int] = {init: 0}
-    order: list[int] = [init]
-    rows: dict[int, list[int]] = {}
-    stack: list[int] = [init]
+    index = {init: 0}
+    rows: list[tuple[int, ...]] = [()]
+    stack = [init]
     while stack:
         cur = stack.pop()
         row = []
@@ -123,20 +122,16 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
             nxt = step(cur)
             j = index.get(nxt)
             if j is None:
-                if len(order) >= max_states:
-                    raise BlowUpError(len(order), max_states)
-                j = len(order)
+                j = len(index)
+                if j >= max_states:
+                    raise BlowUpError(j, max_states)
                 index[nxt] = j
-                order.append(nxt)
+                rows.append(())
                 stack.append(nxt)
             row.append(j)
-        rows[index[cur]] = row
-    return SubsetAutomaton(
-        base=a,
-        subsets=tuple(order),
-        transitions=tuple(tuple(rows[i]) for i in range(len(order))),
-        final_flags=tuple(bool(s & final_mask) for s in order),
-    )
+        rows[index[cur]] = tuple(row)
+    subsets = tuple(index)
+    return SubsetAutomaton(a, subsets, tuple(rows), tuple(bool(s & final_mask) for s in subsets))
 
 
 def _named_dfa(alphabet: tuple[str, ...], names, rows, final_flags) -> Fsa:

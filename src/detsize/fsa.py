@@ -112,15 +112,18 @@ class Fsa:
         alphabet: Iterable[str] = (),
     ) -> "Fsa":
         """Build an automaton, inferring state and alphabet order from first use:
-        ``states``, then transition endpoints, then initial and final states;
-        ``alphabet``, then the other transition symbols."""
+        ``states``, then the transition endpoints and the initial and final
+        states it does not list; ``alphabet``, then the other transition
+        symbols. A name repeated in ``states`` or ``alphabet`` is refused."""
         transitions = [tuple(t) for t in transitions]
         initial = list(initial)
         final = list(final)
-        alphabet = tuple(alphabet)
-        order = dict.fromkeys([*states, *(q for src, _, dst in transitions for q in (src, dst)), *initial, *final])
+        states, alphabet = tuple(states), tuple(alphabet)
+        listed = set(states)
+        used = dict.fromkeys([*(q for src, _, dst in transitions for q in (src, dst)), *initial, *final])
+        states += tuple(q for q in used if q not in listed)
         extra = (sym for sym in dict.fromkeys(t[1] for t in transitions) if sym != EPSILON and sym not in alphabet)
-        return cls(alphabet + tuple(extra), tuple(order), frozenset(initial), frozenset(final), frozenset(transitions))
+        return cls(alphabet + tuple(extra), states, frozenset(initial), frozenset(final), frozenset(transitions))
 
     @property
     def n(self) -> int:

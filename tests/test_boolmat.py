@@ -188,11 +188,14 @@ class TestRange:
             assert matrix_range(m) == frozenset(image_table(m)), m.rows
 
     def test_image_table_matches_apply(self):
+        # every entry, in its place: tbl[v] is the image of the subset v
         rng = random.Random(4)
-        m = random_matrix(rng, 6)
-        tbl = image_table(m)
-        for v in range(1 << 6):
-            assert tbl[v] == m.apply(v)
+        cases = [BoolMatrix.identity(n) for n in range(13)] + [BoolMatrix.zeros(n) for n in range(13)]
+        cases += [random_matrix(rng, n, density) for n in range(13) for density in (0.1, 0.3, 0.6)]
+        for m in cases:
+            tbl = image_table(m)
+            assert len(tbl) == 1 << m.n
+            assert tbl == [m.apply(v) for v in range(1 << m.n)], m.rows
 
 
 class TestRankGf2:

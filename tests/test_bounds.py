@@ -49,6 +49,11 @@ class TestMonoidClosure:
         assert not c.capped
         assert BoolMatrix.identity(3) in c.elements
 
+    @pytest.mark.parametrize("dim", [None, -1])
+    def test_no_generators_needs_a_dimension(self, dim):
+        with pytest.raises(ValueError, match="dim must be given and at least 0"):
+            monoid_closure([], dim=dim)
+
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_cyclic_permutation_order(self, k):
         m = cycle_matrix(k)
@@ -384,3 +389,5 @@ class TestFullReport:
             full_report(gen_moore(18), monoid_cap=0)
         with pytest.raises(ValueError, match="max_states must be at least 1"):
             full_report(gen_moore(18), max_states=0)
+        with pytest.raises(ValueError, match="range_cap must be at least 0"):
+            full_report(gen_moore(18), range_cap=-1)

@@ -196,6 +196,14 @@ class TestDeterminize:
 
     def test_missing_file(self, capsys):
         assert main(["determinize", "/nonexistent.fsa"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/nonexistent.fsa'\n"
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        path = write(tmp_path, "u.fsa", gen_universal())
+        out = tmp_path / "absent" / "out.fsa"
+        assert main(["determinize", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"1\nerror: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
 
 class TestMinimize:
@@ -327,6 +335,11 @@ class TestBounds:
         assert result.returncode == 2
         assert name in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_negative_range_cap_is_usage_error(self, tmp_path):
+        result = run_cli("bounds", write(tmp_path, "m2.fsa", gen_moore(2)), "--range-cap", "-3")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: range_cap must be at least 0\n"
 
     def test_tree_format_round_trips(self, tmp_path, capsys):
         path = write(tmp_path, "u.fsa", gen_universal())

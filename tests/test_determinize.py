@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from detsize.boolmat import image_table
 from detsize.determinize import (
     _TABLE_LIMIT,
     BlowUpError,
@@ -355,6 +356,20 @@ class TestEquivalent:
         assert chain.n > _TABLE_LIMIT
         assert distinguishing_word(chain, loop) == ("c",)
         assert distinguishing_word(loop, chain) == ("c",)
+
+    def test_missing_symbols_build_no_table(self, monkeypatch):
+        # Moore 16 has symbols a and b, the one-state b has c, d and e: of the
+        # union's five symbols, each side builds a table only for its own
+        built = []
+
+        def counting(m):
+            built.append(m.n)
+            return image_table(m)
+
+        monkeypatch.setattr("detsize.determinize.image_table", counting)
+        b = Fsa.make([("p", sym, "p") for sym in "cde"], ["p"], ["p"])
+        assert distinguishing_word(gen_moore(16), b) == ()
+        assert sorted(built) == [1, 1, 1, 16, 16]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_word_enumeration(self, seed):

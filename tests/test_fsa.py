@@ -181,6 +181,15 @@ class TestFirstUseOrder:
         with pytest.raises(ValueError, match="duplicate symbol"):
             Fsa.make([("p", "a", "p")], alphabet=alphabet)
 
+    @pytest.mark.parametrize("states", [("p", "p"), ("p", "q", "p")])
+    def test_make_refuses_duplicate_states(self, states):
+        with pytest.raises(ValueError, match="duplicate state name"):
+            Fsa.make([("p", "a", "q")], states=states)
+
+    def test_make_declares_listed_state_once(self):
+        a = Fsa.make([("q", "a", "p"), ("p", "a", "r")], initial=["r"], final=["q"], states=["p", "q"])
+        assert a.states == ("p", "q", "r")
+
     def test_parse_marker_before_transitions(self):
         a = parse_fsa("@final f\n@initial i\np b q\nq <eps> i\nq a f\n")
         assert a.states == ("f", "i", "p", "q")

@@ -12,9 +12,10 @@ from typing import Sequence
 
 from .boolmat import (
     DEFAULT_RANGE_CAP,
+    MAX_RANGE_CAP,
     BoolMatrix,
     RangeCapExceeded,
-    _range_set,
+    _range_size,
     cyclicity,
     rank_gf2,
     transition_matrices,
@@ -145,6 +146,10 @@ class _Analysis:
     monoid closures keyed by split."""
 
     def __init__(self, a: Fsa, range_cap: int = DEFAULT_RANGE_CAP):
+        if range_cap < 0:
+            raise ValueError("range_cap must be at least 0")
+        if range_cap > MAX_RANGE_CAP:
+            raise ValueError(f"range_cap must be at most {MAX_RANGE_CAP}")
         self.a = a
         self.mats = transition_matrices(a)
         self.range_cap = range_cap
@@ -154,8 +159,8 @@ class _Analysis:
 
     @cached_property
     def range_sizes(self) -> dict[str, int]:
-        # lazy: it raises RangeCapExceeded above the range cap
-        return {sym: len(_range_set(m, self.range_cap)) for sym, m in self.mats.items()}
+        """Range size per symbol, a product over row components; lazy: raises RangeCapExceeded above the cap."""
+        return {sym: _range_size(m, self.range_cap) for sym, m in self.mats.items()}
 
     def factor(self, split: Sequence[str]) -> int:
         """1 plus the range sizes of the symbols outside ``split``."""
@@ -217,7 +222,9 @@ def monoid_bound(a: Fsa, cap: int = DEFAULT_MONOID_CAP) -> int | None:
 def range_bound(a: Fsa, range_cap: int = DEFAULT_RANGE_CAP) -> int:
     """1 plus the sum of the per-symbol range sizes, an upper bound on the
     subset automaton size: every non-initial subset state is in the image of
-    the matrix for the last symbol read."""
+    the matrix for the last symbol read. Raises RangeCapExceeded when a row
+    component (rows linked by overlapping supports) spans more than
+    ``range_cap`` states, ValueError for a cap outside 0..MAX_RANGE_CAP."""
     return _Analysis(a, range_cap).factor(())
 
 
@@ -333,11 +340,11 @@ def full_report(
     that hit a cap are reported as None instead of raising. The all-but-one
     estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
     report records as ``all_but_one_constant``. A cap below its floor (0 for
-    ``range_cap``, 1 for the others) raises ValueError before any work."""
-    caps = (("monoid_cap", monoid_cap, 1), ("range_cap", range_cap, 0), ("max_states", max_states, 1))
-    for name, value, floor in caps:
-        if value < floor:
-            raise ValueError(f"{name} must be at least {floor}")
+    ``range_cap``, 1 for the others), or a ``range_cap`` above MAX_RANGE_CAP,
+    raises ValueError before any work."""
+    for name, value in (("monoid_cap", monoid_cap), ("max_states", max_states)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     analysis = _Analysis(a, range_cap)
     try:
         ranges = analysis.range_sizes
@@ -433,7 +440,7 @@ def _fmt(value: int | None, cap_note: str) -> str:
 def render_report_text(report: BoundReport) -> str:
     """Key-value text form, one field per line; when the subset construction
     completed, each bound gets a PASS/FAIL soundness line."""
-    range_note = f"range cap exceeded (n={report.n} > {report.range_cap})"
+    range_note = f"range cap exceeded (a row component is wider than {report.range_cap})"
     sc_note = range_note if report.range_bound is None else "unavailable (alphabet too large for the split search)"
     lines = [
         f"n: {report.n}",

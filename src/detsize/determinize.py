@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable
 
-from .boolmat import _bits, image_table, transition_matrices
+from .boolmat import image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
@@ -66,10 +67,9 @@ class SubsetAutomaton:
     def names(self) -> tuple[str, ...]:
         """``S<i>=`` and the base states of subset i, comma-separated in base
         index order, as in ``S0=q1,q2``."""
-        states = self.base.states
-        return tuple(
-            f"S{i}=" + ",".join([states[k] for k in _bits(mask)]) for i, mask in enumerate(self.subsets)
-        )
+        states, bit = self.base.states, bytes.maketrans(b"01", b"\0\1")  # bin() digits as bytes 0 and 1
+        members = (",".join(compress(states, bin(mask)[:1:-1].encode().translate(bit))) for mask in self.subsets)
+        return tuple(f"S{i}={m}" for i, m in enumerate(members))
 
     @cached_property
     def symbol_index(self) -> dict[str, int]:
@@ -242,25 +242,21 @@ def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable,
     ``sides`` (as ``_subset_steps`` gives them), tested by ``is_witness`` when
     discovered. Successors come in alphabet order, so the first witness found
     is reached by the shortlex-least witness word. Discovering more than
-    ``max_states`` distinct subsets of one automaton raises BlowUpError."""
+    ``max_states`` distinct tuples raises BlowUpError."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     start = tuple(init for _, init, _ in sides)
     if is_witness(start):
         return ()
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
-    seen = [{init} for init in start]
     queue = [start]
     for node in queue:
         successors = zip(*[[step(s) for step in steps] for s, (steps, _, _) in zip(node, sides)])
         for sym, nxt in zip(alphabet, successors):
             if nxt in parent:
                 continue
-            for s, subsets in zip(nxt, seen):
-                if s not in subsets:
-                    if len(subsets) >= max_states:
-                        raise BlowUpError(len(subsets), max_states)
-                    subsets.add(s)
+            if len(parent) >= max_states:
+                raise BlowUpError(len(parent), max_states)
             parent[nxt] = (node, sym)
             if is_witness(nxt):
                 word = [sym]
@@ -277,7 +273,7 @@ def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) ->
     of the two automata, or None when they are equivalent.
 
     The search runs over pairs of subsets and stops at the first witness;
-    ``max_states`` bounds the distinct subsets it discovers of each automaton.
+    ``max_states`` bounds the distinct pairs it discovers.
     """
     union = tuple(dict.fromkeys(a.alphabet + b.alphabet))
     sides = [_subset_steps(a, union), _subset_steps(b, union)]

@@ -73,9 +73,7 @@ class Fsa:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
-        object.__setattr__(
-            self, "transitions", frozenset(tuple(t) for t in self.transitions)
-        )
+        object.__setattr__(self, "transitions", frozenset(tuple(t) for t in self.transitions))
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate symbol in alphabet")
         if len(set(self.states)) != len(self.states):
@@ -264,16 +262,10 @@ def remove_epsilon(a: Fsa) -> Fsa:
     adj = _adjacency(a)
     eps = {q: out[EPSILON] for q, out in adj.items() if EPSILON in out}
     closures = {q: _reachable((q,), eps) for q in a.states}
-    new_trans = set()
-    for q in a.states:
-        for p in closures[q]:
-            for sym, targets in adj[p].items():
-                if sym == EPSILON:
-                    continue
-                for dst in targets:
-                    new_trans.add((q, sym, dst))
+    moves = {q: [(sym, dst) for sym, out in adj[q].items() if sym != EPSILON for dst in out] for q in a.states}
+    new_trans = frozenset((q, sym, dst) for q in a.states for p in closures[q] for sym, dst in moves[p])
     new_final = frozenset(q for q in a.states if closures[q] & a.final)
-    return Fsa(a.alphabet, a.states, a.initial, new_final, frozenset(new_trans))
+    return Fsa(a.alphabet, a.states, a.initial, new_final, new_trans)
 
 
 def reverse(a: Fsa) -> Fsa:
@@ -350,10 +342,8 @@ def complete_with_dead_state(a: Fsa) -> Fsa:
     if not missing:
         return a
     dead = fresh_state_name("q_dead", a.states)
-    new_trans = set(a.transitions)
-    new_trans.update((q, w, dead) for q, w in missing)
-    new_trans.update((dead, w, dead) for w in a.alphabet)
-    return Fsa(a.alphabet, a.states + (dead,), a.initial, a.final, frozenset(new_trans))
+    new_trans = a.transitions | {(q, w, dead) for q, w in missing} | {(dead, w, dead) for w in a.alphabet}
+    return Fsa(a.alphabet, a.states + (dead,), a.initial, a.final, new_trans)
 
 
 def accepts(a: Fsa, word: Iterable[str]) -> bool:

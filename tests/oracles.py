@@ -209,6 +209,20 @@ def relation_closure(
     return order
 
 
+def range_size_by_row_subsets(rows: tuple[int, ...]) -> int:
+    """Number of distinct unions over all 2**len(rows) subsets of the rows,
+    with no grouping of rows into components; only sensible for about 12
+    rows or fewer."""
+    unions = set()
+    for chosen in product((False, True), repeat=len(rows)):
+        acc = 0
+        for pick, r in zip(chosen, rows):
+            if pick:
+                acc |= r
+        unions.add(acc)
+    return len(unions)
+
+
 def fsa_equal_up_to_state_order(a: Fsa, b: Fsa) -> bool:
     return (
         a.alphabet == b.alphabet

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsize.boolmat import (
+    MAX_RANGE_CAP,
     BoolMatrix,
     RangeCapExceeded,
+    _range_size,
     cyclicity,
     image_table,
     matrix_range,
@@ -20,7 +22,7 @@ from detsize.boolmat import (
 from detsize.fsa import EPSILON, Fsa
 from detsize.generators import gen_moore
 
-from oracles import cyclicity_by_cycle_enumeration, subset_step
+from oracles import cyclicity_by_cycle_enumeration, range_size_by_row_subsets, subset_step
 
 
 def random_matrix(rng: random.Random, n: int, density: float = 0.3) -> BoolMatrix:
@@ -196,6 +198,63 @@ class TestRange:
             tbl = image_table(m)
             assert len(tbl) == 1 << m.n
             assert tbl == [m.apply(v) for v in range(1 << m.n)], m.rows
+
+
+def block_diagonal(rng: random.Random, sizes: list[int], density: float) -> BoolMatrix:
+    """Random blocks of the given sizes on the diagonal, with the states then
+    shuffled, so each block's rows keep to its own columns."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [0] * n
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, start + size):
+                if rng.random() < density:
+                    rows[perm[i]] |= 1 << perm[j]
+        start += size
+    return BoolMatrix(n, tuple(rows))
+
+
+class TestRangeSize:
+    def test_matches_row_subset_oracle(self):
+        rng = random.Random(15)
+        cases = [BoolMatrix.identity(n) for n in range(13)] + [BoolMatrix.zeros(n) for n in range(13)]
+        cases += [random_matrix(rng, rng.randint(1, 12), rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))) for _ in range(400)]
+        for m in cases:
+            assert _range_size(m, MAX_RANGE_CAP) == range_size_by_row_subsets(m.rows), m.rows
+
+    def test_block_diagonal_is_the_product_of_its_blocks(self):
+        rng = random.Random(16)
+        for _ in range(150):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            m = block_diagonal(rng, sizes, rng.choice((0.3, 0.5, 0.8)))
+            assert _range_size(m, MAX_RANGE_CAP) == range_size_by_row_subsets(m.rows), m.rows
+            assert _range_size(m, max(sizes)) == len(matrix_range(m)), m.rows
+
+    def test_cap_bounds_the_widest_component(self):
+        # rows {0,1}, {1,2} and {3}: one component 3 wide, one 1 wide
+        m = BoolMatrix(4, (0b0011, 0b0110, 0b1000, 0))
+        assert _range_size(m, 3) == 4 * 2
+        with pytest.raises(RangeCapExceeded, match="row component width=3 is above the cap 2") as info:
+            _range_size(m, 2)
+        assert (info.value.n, info.value.cap) == (3, 2)
+
+    def test_wide_component_refused_before_enumeration(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("enumeration started above the range cap")
+
+        monkeypatch.setattr("detsize.boolmat._unions", fail)
+        # a narrow component first, then a dense 30-wide one
+        m = BoolMatrix(32, (1, 1) + ((1 << 32) - 4,) * 30)
+        with pytest.raises(RangeCapExceeded, match="width=30"):
+            _range_size(m, MAX_RANGE_CAP)
+
+    def test_singleton_rows_need_no_wide_enumeration(self):
+        # each of 200 distinct unit rows is its own component: 2**200 unions
+        m = BoolMatrix(200, tuple(1 << ((7 * i) % 200) for i in range(200)))
+        assert _range_size(m, 1) == 2**200
 
 
 class TestRankGf2:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from detsize.boolmat import BoolMatrix, RangeCapExceeded, transition_matrices
+from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, RangeCapExceeded, transition_matrices
 from detsize.bounds import (
     all_but_one_bound,
     full_report,
@@ -23,6 +23,7 @@ from detsize.determinize import subset_construct
 from detsize.fsa import Fsa
 from detsize.generators import (
     RandomNfaSpec,
+    gen_meyer_fischer,
     gen_modified_moore,
     gen_moore,
     gen_random,
@@ -178,9 +179,29 @@ class TestRangeBound:
             assert range_bound(a) >= subset_construct(a).n
 
     def test_cap_propagates(self):
-        a = gen_moore(6)
-        with pytest.raises(RangeCapExceeded):
+        # the rows of b link all 6 states into one row component
+        a = gen_meyer_fischer(6)
+        with pytest.raises(RangeCapExceeded, match="width=6 is above the cap 4"):
             range_bound(a, range_cap=4)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cap_bounds_components_not_n(self, n):
+        # Moore's components are at most 2 wide, so a cap below n still gives the value
+        a = gen_moore(n)
+        assert range_bound(a, range_cap=4) == range_bound(a)
+        report = full_report(a, range_cap=4)
+        assert report.range_bound == range_bound(a)
+        assert (report.subset_complexity, report.subset_split) == subset_complexity(a)
+        assert report.all_but_one_certified is not None
+
+    def test_dense_input_refused_before_enumeration(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("range enumeration started above the range cap")
+
+        monkeypatch.setattr("detsize.boolmat._unions", fail)
+        a = gen_random(RandomNfaSpec(n=30, alphabet_size=2, density=0.5, seed=3))
+        with pytest.raises(RangeCapExceeded, match="width=30 is above the cap 22"):
+            range_bound(a, range_cap=MAX_RANGE_CAP)
 
 
 class TestSubsetComplexity:
@@ -201,6 +222,14 @@ class TestSubsetComplexity:
     def test_modified_moore_is_polynomial(self, n):
         value, _ = subset_complexity(gen_modified_moore(n))
         assert value <= 3 * n * n + 3 * n
+
+    def test_modified_moore_60_closed_form(self):
+        # n = 60 is far above the range cap, but the rows of a and b are
+        # distinct unit vectors and c has one non-zero row, {q1, q2}
+        n = 60
+        report = full_report(gen_modified_moore(n))
+        assert report.subset_complexity == 3 * (n * n + n + 2) // 2
+        assert report.subset_split == ("a", "b")
 
     def test_dominates_subset_size(self):
         for seed in range(100):
@@ -362,13 +391,19 @@ class TestFullReport:
         assert "unavailable" in line and "range cap" not in line
 
     def test_range_cap_reported_per_field(self):
-        report = full_report(gen_moore(5), range_cap=4)
+        # the rows of b link all 5 states into one row component
+        report = full_report(gen_meyer_fischer(5), range_cap=4)
         assert report.range_bound is None
         assert report.subset_complexity is None
         assert report.all_but_one_certified is None
         assert report.monoid_bound is not None
         assert all(s.range_size is None for s in report.per_symbol)
         assert report_from_json(report_to_json(report)) == report
+
+    def test_range_cap_note_names_a_component(self):
+        text = render_report_text(full_report(gen_meyer_fischer(5), range_cap=4))
+        assert "range_bound: range cap exceeded (a row component is wider than 4)\n" in text
+        assert "n=" not in text
 
     def test_no_symbols_has_no_range_to_cap(self):
         # the range cap refuses an enumeration; with no symbols there is none,
@@ -391,3 +426,9 @@ class TestFullReport:
             full_report(gen_moore(18), max_states=0)
         with pytest.raises(ValueError, match="range_cap must be at least 0"):
             full_report(gen_moore(18), range_cap=-1)
+        above = MAX_RANGE_CAP + 1
+        for bound in (full_report, range_bound, subset_complexity):
+            with pytest.raises(ValueError, match=f"range_cap must be at most {MAX_RANGE_CAP}"):
+                bound(gen_moore(18), range_cap=above)
+        with pytest.raises(ValueError, match=f"range_cap must be at most {MAX_RANGE_CAP}"):
+            all_but_one_bound(gen_moore(18), "a", range_cap=above)

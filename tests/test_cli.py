@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import detsize
+from detsize.boolmat import MAX_RANGE_CAP
 from detsize.bounds import full_report, report_from_dict, report_to_dict
 from detsize.cli import _build_parser, main
 from detsize.determinize import minimize, subset_construct, subset_to_dfa
@@ -340,6 +341,11 @@ class TestBounds:
         result = run_cli("bounds", write(tmp_path, "m2.fsa", gen_moore(2)), "--range-cap", "-3")
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == "error: range_cap must be at least 0\n"
+
+    def test_range_cap_above_ceiling_is_usage_error(self, tmp_path):
+        result = run_cli("bounds", write(tmp_path, "m2.fsa", gen_moore(2)), "--range-cap", str(MAX_RANGE_CAP + 1))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: range_cap must be at most {MAX_RANGE_CAP}\n"
 
     def test_tree_format_round_trips(self, tmp_path, capsys):
         path = write(tmp_path, "u.fsa", gen_universal())

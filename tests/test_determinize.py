@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from detsize.boolmat import image_table
+from detsize.boolmat import _bits, image_table
 from detsize.determinize import (
     _TABLE_LIMIT,
     BlowUpError,
+    SubsetAutomaton,
     check_brzozowski,
     distinguishing_word,
     equivalent,
@@ -145,6 +146,16 @@ class TestSubsetToDfa:
     def test_names_encode_subsets(self):
         d = subset_to_dfa(subset_construct(gen_moore(2)))
         assert d.states == ("S0=q1", "S1=q2", "S2=q1,q2", "S3=")
+
+    def test_names_match_bit_by_bit_oracle(self):
+        n = 70
+        rng = random.Random(70)
+        base = Fsa(states=tuple(f"p{i}" for i in range(n)))
+        masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
+        masks += [sum(1 << k for k in rng.sample(range(n), rng.randint(1, 6))) for _ in range(200)]
+        s = SubsetAutomaton(base, tuple(masks), ((),) * len(masks), (False,) * len(masks))
+        want = tuple(f"S{i}=" + ",".join(base.states[k] for k in _bits(m)) for i, m in enumerate(masks))
+        assert s.names == want
 
     def test_serializes_and_parses(self):
         d = subset_to_dfa(subset_construct(gen_moore(3)))
@@ -302,13 +313,25 @@ class TestEquivalent:
             equivalent(a, a, max_states=100)
         assert info.value.states_found == info.value.max_states == 100
 
-    def test_cap_counts_subsets_per_automaton(self):
+    def test_cap_counts_pairs(self):
         # Moore 6 against its minimal DFA: 64 subsets on each side, 64 pairs
         a = gen_moore(6)
         d = minimize(subset_to_dfa(subset_construct(a)))
         assert equivalent(a, d, max_states=64)
         with pytest.raises(BlowUpError):
             equivalent(a, d, max_states=63)
+
+    def test_cap_counts_pairs_beyond_either_side(self):
+        # all-accepting cycles of 2 and 3 states over {a}: 3 subsets at most
+        # on either side, but 6 pairs, since 2 and 3 are coprime
+        def cycle(k):
+            names = [f"c{i}" for i in range(k)]
+            return Fsa.make([(names[i], "a", names[(i + 1) % k]) for i in range(k)], names[:1], names)
+
+        assert equivalent(cycle(2), cycle(3), max_states=6)
+        with pytest.raises(BlowUpError) as info:
+            equivalent(cycle(2), cycle(3), max_states=3)
+        assert info.value.states_found == info.value.max_states == 3
 
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):

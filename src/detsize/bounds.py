@@ -5,10 +5,10 @@ sandwich, and the all-but-one bound."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .boolmat import (
     DEFAULT_RANGE_CAP,
@@ -20,7 +20,7 @@ from .boolmat import (
     rank_gf2,
     transition_matrices,
 )
-from .determinize import DEFAULT_MAX_STATES, BlowUpError, subset_construct
+from .determinize import DEFAULT_MAX_STATES, BlowUpError, _construct, _subset_steps
 from .fsa import Fsa
 
 DEFAULT_MONOID_CAP = 100_000
@@ -81,15 +81,15 @@ class MonoidClosure:
 
 
 class _ImageTable(dict):
-    """Row id -> id of row.g for one generator g, filled on first lookup; a new row
-    takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector
-    or in a generator's range: a table holds at most n plus the summed range sizes."""
+    """Row id -> id of row.g for one generator g, filled on first lookup by ``step``; a new row
+    takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector or in a generator's
+    range: an id space, even one shared by a report's closures, holds at most n + the summed range sizes."""
 
-    def __init__(self, g: BoolMatrix, ids: dict[int, int], rows: list[int]):
-        self.apply, self.ids, self.rows = g.apply, ids, rows
+    def __init__(self, step: Callable[[int], int], ids: dict[int, int], rows: list[int]):
+        self.step, self.ids, self.rows = step, ids, rows
 
     def __missing__(self, i: int) -> int:
-        j = self.ids.setdefault(v := self.apply(self.rows[i]), len(self.rows))
+        j = self.ids.setdefault(v := self.step(self.rows[i]), len(self.rows))
         if j == len(self.rows):
             if j > _MAX_ROW_ID:
                 raise OverflowError("row ids exhausted")
@@ -123,7 +123,12 @@ def monoid_closure(
         raise ValueError("cap must be at least 1")
     rows = [1 << i for i in range(n)]
     ids = dict(zip(rows, range(n)))
-    tables = [_ImageTable(g, ids, rows) for g in mats]
+    queue, capped = _closure([_ImageTable(g.apply, ids, rows) for g in mats], n, cap)
+    return MonoidClosure(tuple(queue), tuple(rows), n, capped, cap)
+
+
+def _closure(tables: list[_ImageTable], n: int, cap: int) -> tuple[list[str], bool]:
+    """The elements of monoid_closure, on the id space of the generators' tables, and whether it capped."""
     queue = ["".join(map(chr, range(n)))]
     seen = set(queue)
     try:
@@ -132,18 +137,18 @@ def monoid_closure(
                 nxt = current.translate(table)
                 if nxt not in seen:
                     if len(queue) == cap:
-                        return MonoidClosure(tuple(queue), tuple(rows), n, True, cap)
+                        return queue, True
                     seen.add(nxt)
                     queue.append(nxt)
     except OverflowError:  # the next row id would pass _MAX_ROW_ID
-        return MonoidClosure(tuple(queue), tuple(rows), n, True, cap)
-    return MonoidClosure(tuple(queue), tuple(rows), n, False, cap)
+        return queue, True
+    return queue, False
 
 
 class _Analysis:
-    """What the bounds share for one automaton, each computed once: the
-    matrices, the per-symbol range sizes, ranks and cyclicities, and the
-    monoid closures keyed by split."""
+    """What the bounds share for one automaton, each computed once: the matrices,
+    the subset steps, the per-symbol range sizes, ranks, cyclicities and row
+    tables, and the monoid closure sizes keyed by split."""
 
     def __init__(self, a: Fsa, range_cap: int = DEFAULT_RANGE_CAP):
         if range_cap < 0:
@@ -156,6 +161,17 @@ class _Analysis:
         self.ranks = {sym: rank_gf2(m) for sym, m in self.mats.items()}
         self.cyclicities = {sym: cyclicity(m) for sym, m in self.mats.items()}
         self._closures: dict[tuple[str, ...], tuple[int, bool]] = {}
+
+    @cached_property
+    def steps(self) -> tuple[list[Callable[[int], int]], int, int]:
+        return _subset_steps(self.a, self.a.alphabet, self.mats)
+
+    @cached_property
+    def tables(self) -> dict[str, _ImageTable]:
+        """One row table per symbol, filled by its subset step, on one row-id space shared by every closure."""
+        rows = [1 << i for i in range(self.a.n)]
+        ids = dict(zip(rows, range(self.a.n)))
+        return {sym: _ImageTable(step, ids, rows) for sym, step in zip(self.a.alphabet, self.steps[0])}
 
     @cached_property
     def range_sizes(self) -> dict[str, int]:
@@ -177,8 +193,8 @@ class _Analysis:
         answers every cap up to c; a larger cap recomputes the closure."""
         known = self._closures.get(split)
         if known is None or (known[1] and cap > known[0]):
-            closure = monoid_closure([self.mats[s] for s in split], cap, dim=self.a.n)
-            known = self._closures[split] = (closure.size, closure.capped)
+            queue, capped = _closure([self.tables[s] for s in split], self.a.n, cap)
+            known = self._closures[split] = (len(queue), capped)
         size, capped = known
         return None if capped or size > cap else size
 
@@ -356,7 +372,7 @@ def full_report(
     )
 
     try:
-        subset_size = subset_construct(a, max_states).n
+        subset_size = _construct(a, *analysis.steps, max_states).n
     except BlowUpError:
         subset_size = None
 
@@ -412,7 +428,7 @@ def report_to_dict(report: BoundReport) -> dict:
     for key, sub, field in _REPORT_TREE:
         value = getattr(report, field)
         tree.setdefault(key, {})[sub] = list(value) if isinstance(value, tuple) else value
-    tree["per_symbol"] = [asdict(s) for s in report.per_symbol]
+    tree["per_symbol"] = [dict(vars(s)) for s in report.per_symbol]  # the four fields, in field order
     return tree
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Callable
 
-from .boolmat import image_table, transition_matrices
+from .boolmat import BoolMatrix, image_table, transition_matrices
 from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
@@ -71,28 +71,19 @@ class SubsetAutomaton:
         members = (",".join(compress(states, bin(mask)[:1:-1].encode().translate(bit))) for mask in self.subsets)
         return tuple(f"S{i}={m}" for i, m in enumerate(members))
 
-    @cached_property
-    def symbol_index(self) -> dict[str, int]:
-        return {sym: k for k, sym in enumerate(self.base.alphabet)}
-
-    def run(self, word: Word) -> int:
-        """Index of the state reached from state 0 on ``word``."""
+    def accepts(self, word: Word) -> bool:
         i = 0
         for sym in word:
-            i = self.transitions[i][self.symbol_index[sym]]
-        return i
-
-    def accepts(self, word: Word) -> bool:
-        return self.final_flags[self.run(word)]
+            i = self.transitions[i][self.base.alphabet.index(sym)]
+        return self.final_flags[i]
 
 
-def _subset_steps(a: Fsa, alphabet: tuple[str, ...]) -> tuple[list[Callable[[int], int]], int, int]:
+def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]) -> tuple[list[Callable[[int], int]], int, int]:
     """The subset-step function of each symbol of ``alphabet`` in order, mapping
     a subset bitmask of ``a`` to its successor, plus the initial subset and the
-    final mask. A symbol of ``a`` steps through its image table, or through
-    ``BoolMatrix.apply`` above ``_TABLE_LIMIT`` states; a symbol that ``a``
-    lacks steps every subset to the empty one, with no table."""
-    mats = transition_matrices(a)
+    final mask. A symbol of ``a`` steps through the image table of its matrix in
+    ``mats``, or through ``BoolMatrix.apply`` above ``_TABLE_LIMIT`` states; a
+    symbol that ``a`` lacks steps every subset to the empty one, with no table."""
     by_symbol = {sym: image_table(m).__getitem__ if a.n <= _TABLE_LIMIT else m.apply for sym, m in mats.items()}
     idx = a.state_index
     init = sum(1 << idx[q] for q in a.initial)
@@ -111,7 +102,10 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    steps, init, final_mask = _subset_steps(a, a.alphabet)
+    return _construct(a, *_subset_steps(a, a.alphabet, transition_matrices(a)), max_states)
+
+
+def _construct(a: Fsa, steps: list[Callable[[int], int]], init: int, final_mask: int, max_states: int) -> SubsetAutomaton:
     index = {init: 0}
     rows: list[tuple[int, ...]] = [()]
     stack = [init]
@@ -276,7 +270,7 @@ def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) ->
     ``max_states`` bounds the distinct pairs it discovers.
     """
     union = tuple(dict.fromkeys(a.alphabet + b.alphabet))
-    sides = [_subset_steps(a, union), _subset_steps(b, union)]
+    sides = [_subset_steps(x, union, transition_matrices(x)) for x in (a, b)]
     final_a, final_b = sides[0][2], sides[1][2]
     return _shortest_word(union, sides, lambda node: bool(node[0] & final_a) != bool(node[1] & final_b), max_states)
 
@@ -294,7 +288,7 @@ def universality_witness(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word |
     search runs over subsets and stops at the first witness; ``max_states``
     bounds the distinct subsets it discovers.
     """
-    side = _subset_steps(a, a.alphabet)
+    side = _subset_steps(a, a.alphabet, transition_matrices(a))
     return _shortest_word(a.alphabet, [side], lambda node: not node[0] & side[2], max_states)
 
 

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, RangeCapExceeded, transition_matrices
+from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, RangeCapExceeded, image_table, transition_matrices
 from detsize.bounds import (
+    _Analysis,
+    _split_preference,
     all_but_one_bound,
     full_report,
     monoid_bound,
@@ -139,6 +141,25 @@ class TestMonoidClosure:
         assert report.monoid_bound is None
         assert report.subset_size is not None and report.subset_complexity is not None
         assert report.subset_size <= report.subset_complexity
+
+    @pytest.mark.parametrize("n", [4, 9, 17])
+    def test_shared_row_ids_match_fresh_closures(self, n):
+        # every closure of one analysis shares its row ids and row tables; each
+        # split at each cap must still give what a fresh id space gives
+        outcomes = set()
+        for seed in range(3):
+            a = gen_random(RandomNfaSpec(n=n, alphabet_size=3, density=2.5 / n, seed=seed))
+            analysis = _Analysis(a)
+            for cap in (7, 500):
+                for split in _split_preference(a.alphabet):
+                    fresh = monoid_closure([analysis.mats[s] for s in split], cap, dim=n)
+                    assert analysis.monoid_size(split, cap) == (None if fresh.capped else fresh.size)
+                    assert analysis._closures[split] == (fresh.size, fresh.capped)
+                    outcomes.add(fresh.capped)
+            first, *rest = analysis.tables.values()
+            assert all(t.rows is first.rows and t.ids is first.ids for t in rest)
+            assert first.rows[:n] == [1 << i for i in range(n)]
+        assert outcomes == {False, True}
 
     def test_elements_built_on_first_access(self):
         c = monoid_closure([cycle_matrix(5), BoolMatrix.identity(5)], cap=100)
@@ -414,11 +435,38 @@ class TestFullReport:
         assert (report.subset_complexity, report.subset_split) == subset_complexity(a, range_cap=1) == (1, ())
         assert report.subset_size == 1
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_matrices_and_tables_built_once(self, n, monkeypatch):
+        # the subset construction and every monoid closure of a report share
+        # one set of matrices and, up to 16 states, one image table per symbol;
+        # the range bound alone needs no table
+        matrices, tables = [], []
+
+        def counting_matrices(a):
+            matrices.append(a)
+            return transition_matrices(a)
+
+        def counting_table(m):
+            tables.append(m)
+            return image_table(m)
+
+        for module in ("bounds", "determinize"):
+            monkeypatch.setattr(f"detsize.{module}.transition_matrices", counting_matrices)
+        monkeypatch.setattr("detsize.determinize.image_table", counting_table)
+        a = gen_random(RandomNfaSpec(n=n, alphabet_size=3, density=2.5 / n, seed=1))
+        report = full_report(a, monoid_cap=500)
+        assert report.subset_size is not None and report.subset_complexity is not None
+        assert matrices == [a]
+        assert tables == (list(transition_matrices(a).values()) if n <= 16 else [])
+        tables.clear()
+        assert range_bound(a) == report.range_bound
+        assert tables == []
+
     def test_caps_checked_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("work started before the caps were checked")
 
-        monkeypatch.setattr("detsize.bounds.subset_construct", fail)
+        monkeypatch.setattr("detsize.bounds._construct", fail)
         monkeypatch.setattr("detsize.bounds.transition_matrices", fail)
         with pytest.raises(ValueError, match="monoid_cap must be at least 1"):
             full_report(gen_moore(18), monoid_cap=0)

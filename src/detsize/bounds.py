@@ -21,7 +21,7 @@ from .boolmat import (
     transition_matrices,
 )
 from .determinize import DEFAULT_MAX_STATES, BlowUpError, _construct, _subset_steps
-from .fsa import Fsa
+from .fsa import Fsa, _require
 
 DEFAULT_MONOID_CAP = 100_000
 DEFAULT_ESTIMATE_CONSTANT = 2
@@ -119,8 +119,7 @@ def monoid_closure(
     for d in [m.n for m in mats] + ([] if dim is None else [dim]):
         if d != n:
             raise ValueError(f"dimension mismatch: {d} vs {n}")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    _require("cap", cap, 1)
     rows = [1 << i for i in range(n)]
     ids = dict(zip(rows, range(n)))
     queue, capped = _closure([_ImageTable(g.apply, ids, rows) for g in mats], n, cap)
@@ -146,18 +145,15 @@ def _closure(tables: list[_ImageTable], n: int, cap: int) -> tuple[list[str], bo
 
 
 class _Analysis:
-    """What the bounds share for one automaton, each computed once: the matrices,
-    the subset steps, the per-symbol range sizes, ranks, cyclicities and row
-    tables, and the monoid closure sizes keyed by split."""
+    """What the bounds share for one automaton, each computed once after both bound
+    caps are checked: the matrices, the subset steps, the per-symbol range sizes,
+    ranks, cyclicities and row tables, and the monoid closure sizes keyed by split."""
 
-    def __init__(self, a: Fsa, range_cap: int = DEFAULT_RANGE_CAP):
-        if range_cap < 0:
-            raise ValueError("range_cap must be at least 0")
-        if range_cap > MAX_RANGE_CAP:
-            raise ValueError(f"range_cap must be at most {MAX_RANGE_CAP}")
-        self.a = a
+    def __init__(self, a: Fsa, range_cap: int = DEFAULT_RANGE_CAP, monoid_cap: int = DEFAULT_MONOID_CAP):
+        _require("monoid_cap", monoid_cap, 1)
+        _require("range_cap", range_cap, 0, MAX_RANGE_CAP)
+        self.a, self.range_cap, self.monoid_cap = a, range_cap, monoid_cap
         self.mats = transition_matrices(a)
-        self.range_cap = range_cap
         self.ranks = {sym: rank_gf2(m) for sym, m in self.mats.items()}
         self.cyclicities = {sym: cyclicity(m) for sym, m in self.mats.items()}
         self._closures: dict[tuple[str, ...], tuple[int, bool]] = {}
@@ -198,7 +194,7 @@ class _Analysis:
         size, capped = known
         return None if capped or size > cap else size
 
-    def subset_complexity(self, monoid_cap: int) -> tuple[int | None, tuple[str, ...] | None]:
+    def subset_complexity(self) -> tuple[int | None, tuple[str, ...] | None]:
         """(value, split); (None, None) when the alphabet is too large to enumerate every split."""
         if len(self.a.alphabet) > _MAX_SPLIT_SYMBOLS:
             return None, None
@@ -208,7 +204,7 @@ class _Analysis:
             factor = self.factor(split)
             # only a closure with factor * size < best matters, so any
             # closure that fits under this cap improves on best
-            cap = monoid_cap if best is None else min(monoid_cap, (best - 1) // factor)
+            cap = self.monoid_cap if best is None else min(self.monoid_cap, (best - 1) // factor)
             if best is not None and cap < 1:
                 continue
             size = self.monoid_size(split, cap)
@@ -217,12 +213,12 @@ class _Analysis:
         assert best is not None
         return best, witness
 
-    def all_but_one(self, target: str, monoid_cap: int) -> tuple[int, int]:
+    def all_but_one(self, target: str) -> tuple[int, int]:
         ceiling = self.ceiling(target)
         # the certified bound is the subset-complexity term at split {target},
         # with the ceiling substituted for a monoid size that caps
         factor = self.factor((target,))
-        size = self.monoid_size((target,), min(monoid_cap, ceiling + 1))
+        size = self.monoid_size((target,), min(self.monoid_cap, ceiling + 1))
         certified = factor * (ceiling if size is None else min(size, ceiling))
         ranks = [r for sym, r in self.ranks.items() if sym != target]
         worst = max((2 ** (-(-r * r // 4) + DEFAULT_ESTIMATE_CONSTANT * r) for r in ranks), default=1)
@@ -232,7 +228,7 @@ class _Analysis:
 def monoid_bound(a: Fsa, cap: int = DEFAULT_MONOID_CAP) -> int | None:
     """Size of the full transition monoid, an upper bound on the subset
     automaton size; None when enumeration hit the cap."""
-    return _Analysis(a).monoid_size(a.alphabet, cap)
+    return _Analysis(a, monoid_cap=cap).monoid_size(a.alphabet, cap)
 
 
 def range_bound(a: Fsa, range_cap: int = DEFAULT_RANGE_CAP) -> int:
@@ -266,7 +262,7 @@ def subset_complexity(
     Returns the bound and the minimizing split, ties broken by smaller split
     then lexicographic symbol order.
     """
-    value, split = _Analysis(a, range_cap).subset_complexity(monoid_cap)
+    value, split = _Analysis(a, range_cap, monoid_cap).subset_complexity()
     if value is None:
         raise ValueError("alphabet too large for exhaustive split enumeration")
     return value, split
@@ -281,13 +277,9 @@ def unary_monoid_bounds(a: Fsa) -> tuple[int, int, int]:
     analysis = _Analysis(a)
     lower = analysis.cyclicities[a.alphabet[0]]
     upper = analysis.ceiling(a.alphabet[0])
-    exact = analysis.monoid_size(a.alphabet, upper + 1)
-    if exact is None:
-        raise RuntimeError("unary monoid exceeded its theoretical bound")
-    if not lower <= exact <= upper:
-        raise RuntimeError(
-            f"unary monoid sandwich violated: {lower} <= {exact} <= {upper} fails"
-        )
+    exact = analysis.monoid_size(a.alphabet, upper + 1)  # None past upper + 1
+    if exact is None or not lower <= exact <= upper:
+        raise RuntimeError(f"unary monoid sandwich violated: {lower} <= {exact} <= {upper} fails")
     return lower, upper, exact
 
 
@@ -312,7 +304,7 @@ def all_but_one_bound(
     """
     if target not in a.alphabet:
         raise ValueError(f"unknown target symbol {target!r}")
-    return _Analysis(a, range_cap).all_but_one(target, monoid_cap)
+    return _Analysis(a, range_cap, monoid_cap).all_but_one(target)
 
 
 @dataclass(frozen=True)
@@ -352,16 +344,13 @@ def full_report(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> BoundReport:
     """Populate every bound for ``a``, running the subset construction under
-    its cap to record the actual size when feasible. Individual quantities
-    that hit a cap are reported as None instead of raising. The all-but-one
-    estimate uses the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, which the
-    report records as ``all_but_one_constant``. A cap below its floor (0 for
-    ``range_cap``, 1 for the others), or a ``range_cap`` above MAX_RANGE_CAP,
-    raises ValueError before any work."""
-    for name, value in (("monoid_cap", monoid_cap), ("max_states", max_states)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
-    analysis = _Analysis(a, range_cap)
+    its cap to record the actual size when feasible. A quantity that hits a
+    cap, or an all-but-one estimate too long to write as decimal text, is None
+    instead of raising (the estimate's constant C is ``all_but_one_constant``).
+    A cap below its floor (0 for ``range_cap``, 1 for the others), or a
+    ``range_cap`` above MAX_RANGE_CAP, raises ValueError before any work."""
+    _require("max_states", max_states, 1)
+    analysis = _Analysis(a, range_cap, monoid_cap)
     try:
         ranges = analysis.range_sizes
     except RangeCapExceeded:
@@ -380,11 +369,15 @@ def full_report(
     rbound = sc_value = sc_split = certified = target = estimate = None
     if ranges is not None:
         rbound = analysis.factor(())
-        sc_value, sc_split = analysis.subset_complexity(monoid_cap)
+        sc_value, sc_split = analysis.subset_complexity()
         for sym in a.alphabet:
-            c, e = analysis.all_but_one(sym, monoid_cap)
+            c, e = analysis.all_but_one(sym)
             if certified is None or c < certified:
                 certified, target, estimate = c, sym, e
+    try:
+        str(estimate)
+    except ValueError:  # past sys.get_int_max_str_digits(): the report could not be written
+        estimate = None
 
     return BoundReport(
         n=a.n,

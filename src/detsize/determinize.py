@@ -9,7 +9,7 @@ from itertools import compress
 from typing import Callable
 
 from .boolmat import BoolMatrix, image_table, transition_matrices
-from .fsa import Fsa, Word, is_codeterministic, is_deterministic, is_trim
+from .fsa import Fsa, Word, _require, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
 
@@ -66,10 +66,15 @@ class SubsetAutomaton:
     @cached_property
     def names(self) -> tuple[str, ...]:
         """``S<i>=`` and the base states of subset i, comma-separated in base
-        index order, as in ``S0=q1,q2``."""
+        index order, as in ``S0=q1,q2``. The bin() digits are read from the
+        lowest member up, so a name costs its span, not the base's size."""
         states, bit = self.base.states, bytes.maketrans(b"01", b"\0\1")  # bin() digits as bytes 0 and 1
-        members = (",".join(compress(states, bin(mask)[:1:-1].encode().translate(bit))) for mask in self.subsets)
-        return tuple(f"S{i}={m}" for i, m in enumerate(members))
+        names = []
+        for i, mask in enumerate(self.subsets):
+            low = (mask ^ (mask - 1)).bit_length() - 1  # the lowest member; 0 for the empty subset
+            digits = bin(mask >> low)[:1:-1].encode().translate(bit)
+            names.append(f"S{i}={','.join(compress(states[low:low + len(digits)], digits))}")
+        return tuple(names)
 
     def accepts(self, word: Word) -> bool:
         i = 0
@@ -100,8 +105,7 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     Discovering more than ``max_states`` subsets raises BlowUpError rather
     than truncating.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be at least 1")
+    _require("max_states", max_states, 1)
     return _construct(a, *_subset_steps(a, a.alphabet, transition_matrices(a)), max_states)
 
 
@@ -237,8 +241,6 @@ def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable,
     discovered. Successors come in alphabet order, so the first witness found
     is reached by the shortlex-least witness word. Discovering more than
     ``max_states`` distinct tuples raises BlowUpError."""
-    if max_states < 1:
-        raise ValueError("max_states must be at least 1")
     start = tuple(init for _, init, _ in sides)
     if is_witness(start):
         return ()
@@ -269,6 +271,7 @@ def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) ->
     The search runs over pairs of subsets and stops at the first witness;
     ``max_states`` bounds the distinct pairs it discovers.
     """
+    _require("max_states", max_states, 1)
     union = tuple(dict.fromkeys(a.alphabet + b.alphabet))
     sides = [_subset_steps(x, union, transition_matrices(x)) for x in (a, b)]
     final_a, final_b = sides[0][2], sides[1][2]
@@ -288,6 +291,7 @@ def universality_witness(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word |
     search runs over subsets and stops at the first witness; ``max_states``
     bounds the distinct subsets it discovers.
     """
+    _require("max_states", max_states, 1)
     side = _subset_steps(a, a.alphabet, transition_matrices(a))
     return _shortest_word(a.alphabet, [side], lambda node: not node[0] & side[2], max_states)
 
@@ -297,11 +301,11 @@ def is_universal(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool:
     return universality_witness(a, max_states) is None
 
 
-def check_brzozowski(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool | None:
+def check_brzozowski(a: Fsa) -> bool | None:
     """For a trim, co-deterministic automaton the subset construction yields
-    the minimal DFA already; verify that by size comparison. Returns None when
-    the precondition does not hold (the check is not applicable)."""
+    the minimal DFA already; verify that by size comparison, under the default
+    cap (it takes none). Returns None when the precondition does not hold."""
     if not (is_trim(a) and is_codeterministic(a)):
         return None
-    s = subset_construct(a, max_states)
+    s = subset_construct(a)
     return s.n == max(_refine(s.transitions, s.final_flags)) + 1

@@ -44,6 +44,14 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _require(name: str, value: int, low: int, high: int | None = None) -> None:
+    """The one rule for a cap or size parameter, checked before any work: ValueError below ``low`` or above ``high``."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}")
+
+
 def _valid_symbol(sym: str) -> bool:
     return isinstance(sym, str) and sym.split() == [sym] and sym != EPSILON
 

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fsa import Fsa, complete_with_dead_state, fresh_state_name, is_trim, reverse, trim
+from .fsa import Fsa, _require, complete_with_dead_state, fresh_state_name, is_trim, reverse, trim
 
 _RANDOM_RETRIES = 200
 
@@ -39,8 +39,7 @@ def gen_moore(n: int) -> Fsa:
     """The n-state family whose determinization needs exactly 2**n states:
     a b-loop on q1, a from q1 to q2, an a,b chain q2..qn, and two
     nondeterministic a-edges from qn back to q1 and q2."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _require("n", n, 2)
     states = tuple(f"q{i}" for i in range(1, n + 1))
     trans = {("q1", "b", "q1"), ("q1", "a", "q2")}
     for i in range(2, n):
@@ -57,8 +56,7 @@ def gen_meyer_fischer(n: int) -> Fsa:
     a b-loop on every state except p1, and b-edges from every other state back
     to p1. p1 deliberately has no outgoing b, which is what makes the empty
     subset reachable and the full 2**n count attainable."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _require("n", n, 2)
     states = tuple(f"p{i}" for i in range(1, n + 1))
     trans = set()
     for i in range(1, n + 1):
@@ -130,8 +128,7 @@ def gen_mf_gadget(a: Fsa, t: int) -> Fsa:
     _require_ab(a)
     if not a.initial:
         raise ValueError("base automaton must have an initial state")
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    _require("t", t, 2)
     base = complete_with_dead_state(a)
     mf = gen_meyer_fischer(t)
     p_names = dict(zip(mf.states, _fresh_names(mf.states, base.states)))
@@ -165,10 +162,8 @@ class RandomNfaSpec:
     force_codeterministic: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if not 1 <= self.alphabet_size <= 26:
-            raise ValueError("alphabet_size must be in 1..26")
+        _require("n", self.n, 1)
+        _require("alphabet_size", self.alphabet_size, 1, 26)
         for name in ("density", "initial_density", "final_density"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

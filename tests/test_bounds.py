@@ -21,7 +21,7 @@ from detsize.bounds import (
     subset_complexity,
     unary_monoid_bounds,
 )
-from detsize.determinize import subset_construct
+from detsize.determinize import distinguishing_word, subset_construct, universality_witness
 from detsize.fsa import Fsa
 from detsize.generators import (
     RandomNfaSpec,
@@ -480,3 +480,17 @@ class TestFullReport:
                 bound(gen_moore(18), range_cap=above)
         with pytest.raises(ValueError, match=f"range_cap must be at most {MAX_RANGE_CAP}"):
             all_but_one_bound(gen_moore(18), "a", range_cap=above)
+        # the standalone bounds refuse a monoid cap below 1 before any matrix is built
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="monoid_cap must be at least 1"):
+                monoid_bound(gen_moore(7), cap=cap)
+            with pytest.raises(ValueError, match="monoid_cap must be at least 1"):
+                subset_complexity(gen_modified_moore(6), monoid_cap=cap)
+            with pytest.raises(ValueError, match="monoid_cap must be at least 1"):
+                all_but_one_bound(gen_modified_moore(6), "a", monoid_cap=cap)
+        # the witness searches refuse max_states below 1 before any matrix or image table is built
+        monkeypatch.setattr("detsize.determinize.transition_matrices", fail)
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            universality_witness(gen_moore(16), max_states=0)
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            distinguishing_word(gen_moore(16), gen_moore(16), max_states=0)

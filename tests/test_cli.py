@@ -10,7 +10,7 @@ import pytest
 
 import detsize
 from detsize.boolmat import MAX_RANGE_CAP
-from detsize.bounds import full_report, report_from_dict, report_to_dict
+from detsize.bounds import full_report, render_report_text, report_from_dict, report_from_json, report_to_dict
 from detsize.cli import _build_parser, main
 from detsize.determinize import minimize, subset_construct, subset_to_dfa
 from detsize.fsa import Fsa, accepts, parse_fsa, serialize_fsa
@@ -329,6 +329,27 @@ class TestBounds:
         for name in ("subset_size", "monoid_bound", "range_bound", "all_but_one_certified", "all_but_one_estimate"):
             assert fields[name].isdigit(), name
         assert sum(line.startswith("symbol ") for line in result.stdout.splitlines()) == 17
+
+    @pytest.mark.parametrize("fmt", ["text", "tree"])
+    def test_estimate_too_long_to_write_degrades_alone(self, fmt, tmp_path):
+        # a is a 300-cycle and b the identity: both have GF(2) rank 300, so the
+        # all-but-one estimate has 6,960 digits, past the default int-to-str limit
+        k = 300
+        names = [f"c{i}" for i in range(k)]
+        cycle = Fsa.make([(q, "a", names[(i + 1) % k]) for i, q in enumerate(names)] + [(q, "b", q) for q in names],
+                         names[:1], names[:1])
+        result = run_cli("bounds", write(tmp_path, "cycle.fsa", cycle), "--format", fmt)
+        assert (result.returncode, result.stderr) == (0, "")
+        report = full_report(cycle)
+        assert report.subset_size == report.subset_complexity == report.monoid_bound == k
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+        too_long = 0 < limit < 6_960
+        assert (report.all_but_one_estimate is None) == too_long
+        if fmt == "text":
+            assert result.stdout == render_report_text(report)
+            assert ("all_but_one_estimate: unavailable\n" in result.stdout) == too_long
+        else:
+            assert report_from_json(result.stdout) == report
 
     @pytest.mark.parametrize("option, name", [("--monoid-cap", "monoid_cap"), ("--max-states", "max_states")])
     def test_cap_below_one_is_usage_error(self, option, name, tmp_path):

@@ -157,6 +157,27 @@ class TestSubsetToDfa:
         want = tuple(f"S{i}=" + ",".join(base.states[k] for k in _bits(m)) for i, m in enumerate(masks))
         assert s.names == want
 
+    def test_names_read_digits_over_the_span_only(self, monkeypatch):
+        # a name costs its subset's span (highest member - lowest + 1), not the
+        # base's size: singletons of a wide base read one digit each
+        n = 20_000
+        base = Fsa(states=tuple(f"p{i}" for i in range(n)))
+        masks = [0, 1, 1 << (n - 1), 0b1011 << 9_000] + [1 << k for k in range(0, n, 7)]
+        s = SubsetAutomaton(base, tuple(masks), ((),) * len(masks), (False,) * len(masks))
+        read = []
+
+        def counting_bin(x: int) -> str:
+            read.append(x.bit_length())
+            return bin(x)
+
+        monkeypatch.setattr("detsize.determinize.bin", counting_bin, raising=False)
+        names = s.names
+        spans = [m.bit_length() - (m & -m).bit_length() + 1 if m else 1 for m in masks]
+        assert len(read) == len(masks)
+        assert [r for r, span in zip(read, spans) if r > span] == []
+        assert names[:4] == ("S0=", "S1=p0", f"S2=p{n - 1}", "S3=p9000,p9001,p9003")
+        assert names[4 + 100] == "S104=p700"
+
     def test_serializes_and_parses(self):
         d = subset_to_dfa(subset_construct(gen_moore(3)))
         assert parse_fsa(serialize_fsa(d)) == d

@@ -22,7 +22,7 @@ from .determinize import (
     subset_construct,
     universality_witness,
 )
-from .fsa import EPSILON, Fsa, _serialize_dfa, parse_fsa, remove_epsilon, serialize_fsa
+from .fsa import EPSILON, Fsa, _text, parse_fsa, remove_epsilon, serialize_fsa
 from .generators import (
     RandomNfaSpec,
     gen_meyer_fischer,
@@ -147,11 +147,15 @@ def _cmd_gen(args) -> int:
 
 
 def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, str]:
-    """State count and ``serialize_fsa`` text of ``subset_to_dfa(s)``, or of
-    its ``minimize`` when ``minimal``, written with no named ``Fsa``."""
+    """State count and ``serialize_fsa`` text of ``subset_to_dfa(s)``, or of its ``minimize`` when
+    ``minimal``, with no named ``Fsa``. Each state has a line per symbol, so first use is sorted order."""
     table = _minimal_table(s.transitions, s.final_flags, 0) if minimal else None
     names, rows, final_flags = table or (s.names, s.transitions, s.final_flags)
-    return len(rows), _serialize_dfa(s.base.alphabet, names, rows, final_flags)
+    alphabet = s.base.alphabet
+    order = sorted(zip(alphabet, range(len(alphabet))))
+    edges = ((i, sym, row[k]) for i, row in enumerate(rows) for sym, k in order)
+    final = [i for i, f in enumerate(final_flags) if f]
+    return len(rows), _text(alphabet, sorted(alphabet) != list(alphabet), names, edges, [0], final)
 
 
 def _cmd_determinize(args) -> int:

@@ -79,6 +79,8 @@ class SubsetAutomaton:
     def accepts(self, word: Word) -> bool:
         i = 0
         for sym in word:
+            if sym not in self.base.alphabet:
+                raise ValueError(f"symbol {sym!r} not in alphabet")
             i = self.transitions[i][self.base.alphabet.index(sym)]
         return self.final_flags[i]
 

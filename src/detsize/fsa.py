@@ -149,9 +149,10 @@ def parse_fsa(text: str) -> Fsa:
 
     Lines are either ``src sym dst`` transitions (``<eps>`` denotes the empty
     symbol), ``@initial q`` / ``@final q`` markers, or an optional
-    ``@alphabet a b c`` line pinning alphabet order. ``#``-lines and blank
-    lines are ignored. States and symbols are declared by first use; state
-    indexing follows first-appearance order.
+    ``@alphabet a b c`` line pinning alphabet order. Blank lines are ignored,
+    and so is a comment line, whose first non-blank character is ``#``; a ``#``
+    anywhere else is an ordinary character. States and symbols are declared
+    by first use; state indexing follows first-appearance order.
     """
     pinned: list[str] | None = None
     states: dict[str, None] = {}  # insertion-ordered: first use fixes the index
@@ -218,30 +219,22 @@ def serialize_fsa(a: Fsa) -> str:
     reproduce the alphabet, so parse(serialize(a)) restores it either way.
     """
     idx = a.state_index
-    trans = sorted(a.transitions, key=lambda t: (idx[t[0]], t[1], idx[t[2]]))
-    first_use = tuple(sym for sym in dict.fromkeys(t[1] for t in trans) if sym != EPSILON)
-    lines: list[str] = []
-    if first_use != a.alphabet:
-        lines.append("@alphabet" + "".join(" " + s for s in a.alphabet))
-    lines.extend(f"{src} {sym} {dst}" for src, sym, dst in trans)
-    lines.extend(f"@initial {q}" for q in a.states if q in a.initial)
-    lines.extend(f"@final {q}" for q in a.states if q in a.final)
-    return "".join(line + "\n" for line in lines)
+    edges = sorted((idx[src], sym, idx[dst]) for src, sym, dst in a.transitions)
+    first_use = tuple(sym for sym in dict.fromkeys(sym for _, sym, _ in edges) if sym != EPSILON)
+    initial, final = (sorted(idx[q] for q in group) for group in (a.initial, a.final))
+    return _text(a.alphabet, first_use != a.alphabet, a.states, edges, initial, final)
 
 
-def _serialize_dfa(alphabet: tuple[str, ...], names, rows, final_flags) -> str:
-    """``serialize_fsa`` of the total DFA with state 0 initial whose state i is
-    ``names[i]``, steps to ``rows[i][k]`` on ``alphabet[k]`` and is final iff
-    ``final_flags[i]``, byte for byte, with no ``Fsa`` built. Every state has a
-    line per symbol, so the symbols' first use is their sorted order."""
-    lines = [] if sorted(alphabet) == list(alphabet) else ["@alphabet " + " ".join(alphabet)]
-    labels = [(k, f" {alphabet[k]} ") for k in sorted(range(len(alphabet)), key=alphabet.__getitem__)]
-    for name, row in zip(names, rows):
-        for k, label in labels:
-            lines.append(name + label + names[row[k]])
-    lines.append(f"@initial {names[0]}")
-    lines.extend(f"@final {name}" for name, final in zip(names, final_flags) if final)
-    return "\n".join(lines) + "\n"
+def _text(alphabet: tuple[str, ...], pinned: bool, names, edges, initial, final) -> str:
+    """The one writer of the text format: an ``@alphabet`` line when ``pinned``, a line per
+    (source index, symbol, target index) of ``edges`` in order, then the ``@initial`` and
+    ``@final`` lines of the indices in ``initial`` and ``final``; state i is ``names[i]``."""
+    label = {sym: f" {sym} " for sym in (*alphabet, EPSILON)}
+    lines = ["@alphabet" + "".join(" " + sym for sym in alphabet)] if pinned else []
+    lines += [names[i] + label[sym] + names[j] for i, sym, j in edges]
+    lines += ["@initial " + names[i] for i in initial]
+    lines += ["@final " + names[i] for i in final]
+    return "\n".join([*lines, ""])
 
 
 def _adjacency(a: Fsa) -> dict[str, dict[str, set[str]]]:

@@ -297,3 +297,25 @@ def universal_by_enumeration(a: Fsa, max_len: int) -> bool:
                 nxt |= t.get(q, frozenset())
             stack.append((frozenset(nxt), depth + 1))
     return True
+
+
+def text_by_format_rules(a: Fsa) -> str:
+    """The automaton text as README's "Automaton text format" section states
+    it: one ``src sym dst`` line per transition, sorted by (source index,
+    symbol, target index); then an ``@initial`` line and an ``@final`` line per
+    state in state-index order; first an ``@alphabet`` line, only when the
+    symbols' first use in those transition lines (epsilon aside) differs from
+    the alphabet."""
+    position = {q: i for i, q in enumerate(a.states)}
+    transitions = sorted(a.transitions, key=lambda t: (position[t[0]], t[1], position[t[2]]))
+    first_use: list[str] = []
+    for _, sym, _ in transitions:
+        if sym != EPSILON and sym not in first_use:
+            first_use.append(sym)
+    out = []
+    if first_use != list(a.alphabet):
+        out.append("@alphabet " + " ".join(a.alphabet))
+    out.extend(f"{src} {sym} {dst}" for src, sym, dst in transitions)
+    out.extend(f"@initial {q}" for q in a.states if q in a.initial)
+    out.extend(f"@final {q}" for q in a.states if q in a.final)
+    return "".join(line + "\n" for line in out)

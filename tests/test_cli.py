@@ -24,6 +24,7 @@ from detsize.generators import (
 )
 
 from conftest import build_families, build_random_nfas
+from oracles import text_by_format_rules
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -244,6 +245,14 @@ def test_output_text_equals_library_text(a, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == serialize_fsa(want)
         assert captured.err == f"{want.n}\n"
+
+
+@pytest.mark.parametrize("a", [a for _, a in TEXT_CASES], ids=[name for name, _ in TEXT_CASES])
+def test_output_text_follows_the_format_rules(a, tmp_path, capsys):
+    path = write(tmp_path, "a.fsa", a)
+    for command, dfa in _library_dfas(a).items():
+        assert main([command, path]) == 0
+        assert capsys.readouterr().out == text_by_format_rules(dfa)
 
 
 def test_edge_cases_reach_each_writer_rule():

@@ -133,6 +133,12 @@ class TestSubsetConstruct:
         for w in words_upto(a.alphabet, 6):
             assert s.accepts(w) == nfa_accepts_by_sets(a, w)
 
+    def test_unknown_symbol_raises_like_fsa_accepts(self):
+        a = gen_moore(3)
+        for run in (subset_construct(a).accepts, lambda w: accepts(a, w)):
+            with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet$"):
+                run(("a", "z"))
+
 
 class TestSubsetToDfa:
     def test_single_state(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from oracles import (
     accepts_by_path_search,
     deterministic_by_successor_count,
     fsa_equal_up_to_state_order,
+    text_by_format_rules,
     words_upto,
 )
 
@@ -38,8 +41,6 @@ def random_fsa(seed: int, *, n: int = 5, sigma: int = 2, density: float = 0.3) -
 
 def with_epsilons(a: Fsa, seed: int) -> Fsa:
     """Sprinkle a few epsilon transitions over an automaton, deterministically."""
-    import random
-
     rng = random.Random(seed)
     trans = set(a.transitions)
     for _ in range(max(1, a.n // 2)):
@@ -160,6 +161,33 @@ class TestSerialize:
     def test_round_trip_random_up_to_state_order(self, seed):
         a = random_fsa(seed)
         assert fsa_equal_up_to_state_order(parse_fsa(serialize_fsa(a)), a)
+
+
+class TestSerializeAgainstFormatRules:
+    """``serialize_fsa`` against ``oracles.text_by_format_rules``, a writer
+    built from README's statement of the format alone."""
+
+    def test_every_corpus_automaton(self, random_nfas, unary_nfas, total_nfas, codeterministic_nfas, family_nfas):
+        rng = random.Random(18)
+        for a in random_nfas + unary_nfas + total_nfas + codeterministic_nfas + family_nfas:
+            eps = (rng.choice(a.states), EPSILON, rng.choice(a.states))
+            for b in (a, Fsa(a.alphabet, a.states, a.initial, a.final, a.transitions | {eps})):
+                assert serialize_fsa(b) == text_by_format_rules(b)
+
+    @pytest.mark.parametrize(
+        "a, text",
+        [
+            (Fsa(), ""),
+            (Fsa.make([("p", "a", "q")], ["p"], ["q"], alphabet=["a", "b"]), "@alphabet a b\np a q\n@initial p\n@final q\n"),
+            (Fsa.make([("p", "a", "q"), ("q", "b", "p")], ["p"], ["q"], alphabet=["b", "a"]),
+             "@alphabet b a\np a q\nq b p\n@initial p\n@final q\n"),
+            (Fsa.make([("p", "a", "q"), ("p", EPSILON, "q"), ("p", "1", "q")], ["p"], ["q"], alphabet=["1", "a"]),
+             "p 1 q\np <eps> q\np a q\n@initial p\n@final q\n"),
+        ],
+        ids=["empty", "unused-symbol", "pinned-b-a", "symbol-order"],
+    )
+    def test_hand_cases(self, a, text):
+        assert serialize_fsa(a) == text_by_format_rules(a) == text
 
 
 class TestFirstUseOrder:

@@ -182,17 +182,17 @@ def rank_gf2(m: BoolMatrix) -> int:
     return len(basis)
 
 
-def _forest(succ: Sequence[int], roots: Iterable[int]) -> Iterator[list[int]]:
+def _forest(succ: Sequence[int], roots: Iterable[int]) -> Iterator[dict[int, int]]:
     """Depth-first trees over the graph in which vertex v has the successor
     bitset ``succ[v]``, one grown from each root not yet reached, always
-    stepping to the lowest unseen successor. Yields each tree's vertices in
-    the order they finish."""
+    stepping to the lowest unseen successor. Yields each tree as a map from
+    vertex to depth (the root's is 0), in the order the vertices finish."""
     unseen = (1 << len(succ)) - 1
     for root in roots:
         if not (unseen >> root) & 1:
             continue
         unseen ^= 1 << root
-        path, tree = [root], []
+        path, tree = [root], {}
         while path:
             step = succ[path[-1]] & unseen
             if step:
@@ -200,46 +200,47 @@ def _forest(succ: Sequence[int], roots: Iterable[int]) -> Iterator[list[int]]:
                 unseen ^= step
                 path.append(step.bit_length() - 1)
             else:
-                tree.append(path.pop())
+                tree[path.pop()] = len(path)
         yield tree
 
 
-def strongly_connected_components(m: BoolMatrix) -> list[list[int]]:
-    """Maximal strongly connected components of the matrix support graph, by
-    Kosaraju's two depth-first sweeps: one over the rows gives the finishing
+def _components(m: BoolMatrix) -> Iterator[dict[int, int]]:
+    """Kosaraju's two depth-first sweeps: one over the rows gives the finishing
     order, one over the predecessor bitsets in reverse finishing order grows
-    one component per tree. Components come sinks first, in the order the
-    first sweep finishes their earliest-reached vertex; each lists its
-    vertices in increasing order."""
+    one strongly connected component per tree, sources first."""
     preds = [0] * m.n
     for u, r in enumerate(m.rows):
         for v in _bits(r):
             preds[v] |= 1 << u
     finished = [v for tree in _forest(m.rows, range(m.n)) for v in tree]
-    return [sorted(tree) for tree in _forest(preds, reversed(finished))][::-1]
+    return _forest(preds, reversed(finished))
+
+
+def strongly_connected_components(m: BoolMatrix) -> list[list[int]]:
+    """Maximal strongly connected components of the matrix support graph, by
+    Kosaraju's sweeps. Components come sinks first, in the order the first
+    sweep finishes their earliest-reached vertex; each lists its vertices in
+    increasing order."""
+    return [sorted(tree) for tree in _components(m)][::-1]
 
 
 def cyclicity(m: BoolMatrix) -> int:
     """Least common multiple, over strongly connected components, of the gcd of
     the cycle lengths inside each component.
 
-    Per component the gcd is computed from breadth-first levels: every
-    intra-component edge u -> v contributes level(u) - level(v) + 1. A
+    Per component the gcd is taken over the depths of its tree in Kosaraju's
+    second sweep (Denardo 1977): that sweep steps along predecessor edges, so
+    every intra-component edge u -> v contributes depth(v) + 1 - depth(u). A
     component without a cycle (one vertex lacking a self-loop) has no such
     edge and contributes nothing, so an acyclic graph has cyclicity 1.
     """
     result = 1
-    for comp in strongly_connected_components(m):
-        inside = sum(1 << v for v in comp)
-        level = {comp[0]: 0}
-        queue = [comp[0]]
+    for depth in _components(m):
+        inside = sum(1 << v for v in depth)
         g = 0
-        for u in queue:
+        for u, du in depth.items():
             for v in _bits(m.rows[u] & inside):
-                if v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                g = math.gcd(g, level[u] + 1 - level[v])
+                g = math.gcd(g, depth[v] + 1 - du)
         if g:
             result = math.lcm(result, g)
     return result

@@ -369,11 +369,12 @@ def full_report(
     rbound = sc_value = sc_split = certified = target = estimate = None
     if ranges is not None:
         rbound = analysis.factor(())
-        sc_value, sc_split = analysis.subset_complexity()
+        # all-but-one first: a singleton closure ends complete or capped at monoid_cap, so the split search reuses it
         for sym in a.alphabet:
             c, e = analysis.all_but_one(sym)
             if certified is None or c < certified:
                 certified, target, estimate = c, sym, e
+        sc_value, sc_split = analysis.subset_complexity()
     try:
         str(estimate)
     except ValueError:  # past sys.get_int_max_str_digits(): the report could not be written

@@ -82,9 +82,11 @@ class Fsa:
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
         object.__setattr__(self, "transitions", frozenset(tuple(t) for t in self.transitions))
-        if len(set(self.alphabet)) != len(self.alphabet):
+        symbol_set = set(self.alphabet)
+        if len(symbol_set) != len(self.alphabet):
             raise ValueError("duplicate symbol in alphabet")
-        if len(set(self.states)) != len(self.states):
+        state_set = set(self.states)
+        if len(state_set) != len(self.states):
             raise ValueError("duplicate state name")
         for sym in self.alphabet:
             if not _valid_symbol(sym):
@@ -92,12 +94,10 @@ class Fsa:
         for q in self.states:
             if not _valid_state(q):
                 raise ValueError(f"invalid state name {q!r}")
-        state_set = set(self.states)
         for kind, group in (("initial", self.initial), ("final", self.final)):
             for q in group:
                 if q not in state_set:
                     raise ValueError(f"{kind} state {q!r} not in state set")
-        symbol_set = set(self.alphabet)
         for t in self.transitions:
             if len(t) != 3:
                 raise ValueError(f"transition {t!r} is not a triple")
@@ -168,10 +168,9 @@ def parse_fsa(text: str) -> Fsa:
             states[name] = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         head = tokens[0]
         if head == "@alphabet":
             if pinned is not None:
@@ -207,7 +206,7 @@ def parse_fsa(text: str) -> Fsa:
     if not states:
         raise ParseError("no states declared")
     alphabet = tuple(symbols if pinned is None else pinned)
-    return Fsa(alphabet, tuple(states), frozenset(initial), frozenset(final), frozenset(transitions))
+    return Fsa(alphabet, tuple(states), frozenset(initial), frozenset(final), transitions)
 
 
 def serialize_fsa(a: Fsa) -> str:

@@ -7,6 +7,7 @@ import pytest
 from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, RangeCapExceeded, image_table, transition_matrices
 from detsize.bounds import (
     _Analysis,
+    _closure,
     _split_preference,
     all_but_one_bound,
     full_report,
@@ -316,6 +317,12 @@ class TestUnaryMonoidBounds:
         with pytest.raises(ValueError):
             unary_monoid_bounds(gen_universal())
 
+    def test_violated_sandwich_raises(self, monkeypatch):
+        # a cyclicity above the monoid size breaks the lower side of the sandwich
+        monkeypatch.setattr("detsize.bounds.cyclicity", lambda m: 10)
+        with pytest.raises(RuntimeError, match="unary monoid sandwich violated"):
+            unary_monoid_bounds(unary_cycle(3))
+
     def test_sandwich_on_randoms(self):
         for seed in range(150):
             a = gen_random(RandomNfaSpec(n=1 + seed % 6, alphabet_size=1,
@@ -461,6 +468,21 @@ class TestFullReport:
         tables.clear()
         assert range_bound(a) == report.range_bound
         assert tables == []
+
+    def test_each_closure_enumerated_once(self, random_nfas, monkeypatch):
+        # all-but-one closes every singleton before the split search asks for it,
+        # so no generator tuple of a report is enumerated a second time
+        calls: list[tuple[int, ...]] = []
+
+        def recording_closure(tables, n, cap):
+            calls.append(tuple(map(id, tables)))
+            return _closure(tables, n, cap)
+
+        monkeypatch.setattr("detsize.bounds._closure", recording_closure)
+        for a in random_nfas:
+            calls.clear()
+            full_report(a, monoid_cap=100_000, range_cap=20)
+            assert len(calls) == len(set(calls)), a
 
     def test_caps_checked_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -13,6 +13,7 @@ from detsize.fsa import (
     ParseError,
     accepts,
     complete_with_dead_state,
+    fresh_state_name,
     is_codeterministic,
     is_deterministic,
     is_total,
@@ -64,6 +65,18 @@ class TestInvariants:
     def test_epsilon_not_in_alphabet(self):
         with pytest.raises(ValueError):
             Fsa((EPSILON,), ("q0",), frozenset(), frozenset(), frozenset())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"states": ("@x",)}, "invalid state name '@x'"),
+            ({"states": ("p",), "transitions": [("p", "p")]}, "is not a triple"),
+        ],
+        ids=["directive-state-name", "pair-transition"],
+    )
+    def test_rejects_malformed_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Fsa(**fields)
 
     def test_empty_state_set_is_legal(self):
         a = Fsa(("a",), (), frozenset(), frozenset(), frozenset())
@@ -118,6 +131,9 @@ class TestParse:
             ("q0 a q1\n@initial #q\n", 2, "invalid state name '#q'"),
             ("q0 a q0\n@alphabet a <eps>\n", 2, "invalid symbol '<eps>'"),
             ("q0 a q0\n@alphabet b\nq0 a q0\n", 2, "symbol 'a' not in declared alphabet"),
+            ("q a q\n@initial q q\n", 2, "@initial takes exactly one state"),
+            ("q a q\n@final\n", 2, "@final takes exactly one state"),
+            ("q a q\n@alphabet a a\n", 2, "duplicate symbol in @alphabet"),
         ],
     )
     def test_invalid_name_reports_its_line(self, text, line, message):
@@ -402,6 +418,10 @@ class TestCompletion:
         a = random_fsa(seed, density=0.15)
         c = complete_with_dead_state(a)
         assert complete_with_dead_state(c) == c
+
+    @pytest.mark.parametrize("taken, name", [((), "q"), (("q",), "q2"), (("q", "q2"), "q3")])
+    def test_fresh_state_name_counts_past_taken(self, taken, name):
+        assert fresh_state_name("q", taken) == name
 
     def test_language_unchanged(self):
         a = random_fsa(17, density=0.2)

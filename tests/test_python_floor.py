@@ -1,5 +1,6 @@
 """Every module of ``src/detsize`` parses as the oldest Python that
-``pyproject.toml`` admits (``requires-python``)."""
+``pyproject.toml`` admits (``requires-python``), and CI runs the ROADMAP's
+tier-1 command under that Python."""
 
 from __future__ import annotations
 
@@ -32,3 +33,13 @@ def test_check_rejects_newer_syntax():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_at_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_floor())
+
+
+def test_ci_runs_tier1_at_floor():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    job = workflow["jobs"]["tier1"]
+    assert "{}.{}".format(*_floor()) in job["strategy"]["matrix"]["python-version"]
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
+    assert job["steps"][-1]["run"] == command

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .fsa import Fsa
+from .fsa import Fsa, _require
 
 DEFAULT_RANGE_CAP = 20
 MAX_RANGE_CAP = 22  # 2**20 range elements peak at 84.5 MiB under tracemalloc; each bit doubles it
@@ -144,7 +144,9 @@ def matrix_range(m: BoolMatrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[int]:
     of rows, built one row at a time in at most min(n * |range|, 2**(n+1))
     steps. Contains the zero vector (image of the empty subset). Its memory
     follows |range|, the product of the row components' range sizes, so the
-    cap stays on n: raises RangeCapExceeded when n is above ``cap``."""
+    cap stays on n: raises RangeCapExceeded when n is above ``cap``, and
+    ValueError for a ``cap`` outside 0..MAX_RANGE_CAP."""
+    _require("cap", cap, 0, MAX_RANGE_CAP)
     if m.n > cap:
         raise RangeCapExceeded(m.n, cap)
     return frozenset(_unions(m.rows))

@@ -126,7 +126,7 @@ def _write(args, text: str) -> None:
 
 
 def _load(args, path: str) -> Fsa:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
         a = parse_fsa(fh.read())
     if a.has_epsilon:
         if args.no_eps_removal:
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"blow-up abort: {exc.states_found} states found", file=sys.stderr)
         return EXIT_BLOWUP
-    except (OSError, ValueError) as exc:  # unreadable FILE, unwritable --out, ParseError, RangeCapExceeded
+    except (OSError, ValueError) as exc:  # unreadable FILE, unwritable --out, ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

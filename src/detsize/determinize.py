@@ -150,7 +150,7 @@ def subset_to_dfa(s: SubsetAutomaton) -> Fsa:
 
 def _refine(transitions, final_flags) -> list[int]:
     """Block of each state of a total DFA, two states sharing a block iff no
-    word tells them apart; ids are numbered by first appearance in state order.
+    word tells them apart; a block's id is its index among the blocks made.
 
     Hopcroft's algorithm (1971) on inverse transition lists: a pending splitter
     cuts every block holding states that step into it and states that do not.
@@ -182,8 +182,7 @@ def _refine(transitions, final_flags) -> list[int]:
                     block_of[q] = len(blocks)
                 pending.append(len(blocks))
                 blocks.append(part)
-    ids: dict[int, int] = {}
-    return [ids.setdefault(b, len(ids)) for b in block_of]
+    return block_of
 
 
 def _minimal_table(rows, final_flags, start: int) -> tuple[list[str], list[list[int]], list[bool]] | None:
@@ -191,22 +190,19 @@ def _minimal_table(rows, final_flags, start: int) -> tuple[list[str], list[list[
     the minimal DFA of the total DFA with successor ``rows``, ``final_flags``
     and initial state ``start``, numbered and named as in ``minimize``; None
     when that DFA is minimal already (every state reachable, none merged)."""
-    order = [start]
-    index = {start: 0}
-    for q in order:
-        for r in rows[q]:
-            if r not in index:
-                index[r] = len(order)
-                order.append(r)
-    bfs_rows = [[index[r] for r in rows[q]] for q in order]
-    bfs_final = [final_flags[q] for q in order]
-    block = _refine(bfs_rows, bfs_final)
+    block = _refine(rows, final_flags)
     member = dict(zip(block, range(len(block))))  # equivalent states: any one stands for its block
-    if len(member) == len(rows):
+    order = [block[start]]  # the blocks reachable from the initial one, in breadth-first order
+    number = {order[0]: 0}
+    for b in order:
+        for r in rows[member[b]]:
+            if block[r] not in number:
+                number[block[r]] = len(order)
+                order.append(block[r])
+    if len(order) == len(rows):
         return None
-    reps = [member[b] for b in range(len(member))]
-    names = [f"m{b}" for b in range(len(reps))]
-    return names, [[block[j] for j in bfs_rows[i]] for i in reps], [bfs_final[i] for i in reps]
+    reps = [member[b] for b in order]
+    return [f"m{i}" for i in range(len(reps))], [[number[block[r]] for r in rows[q]] for q in reps], [final_flags[q] for q in reps]
 
 
 def minimize(d: Fsa) -> Fsa:
@@ -214,11 +210,12 @@ def minimize(d: Fsa) -> Fsa:
 
     Raises ValueError unless ``d`` is a total DFA with one initial state.
 
-    Restricts to accessible states, numbered in breadth-first order, then
-    merges indistinguishable states by partition refinement (``_refine``);
-    state ``m<i>`` is the i-th block met in that order. An automaton with no
-    reachable accepting state collapses to the 1-state all-rejecting DFA.
-    When the input is already minimal it is returned unchanged.
+    Merges indistinguishable states by partition refinement (``_refine``),
+    then keeps the blocks reachable from the initial state; state ``m<i>`` is
+    the i-th block met by a breadth-first search from the initial block, with
+    successors in alphabet order. An automaton with no reachable accepting
+    state collapses to the 1-state all-rejecting DFA. When the input is
+    already minimal it is returned unchanged.
     """
     if not is_deterministic(d):
         raise ValueError("minimize needs a total DFA with one initial state")
@@ -234,7 +231,7 @@ def minimize(d: Fsa) -> Fsa:
 def state_complexity(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Number of states of the minimal total DFA equivalent to ``a``."""
     s = subset_construct(a, max_states)
-    return max(_refine(s.transitions, s.final_flags)) + 1
+    return len(set(_refine(s.transitions, s.final_flags)))
 
 
 def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable, max_states: int) -> Word | None:
@@ -310,4 +307,4 @@ def check_brzozowski(a: Fsa) -> bool | None:
     if not (is_trim(a) and is_codeterministic(a)):
         return None
     s = subset_construct(a)
-    return s.n == max(_refine(s.transitions, s.final_flags)) + 1
+    return s.n == len(set(_refine(s.transitions, s.final_flags)))

@@ -274,19 +274,15 @@ def reverse(a: Fsa) -> Fsa:
     return Fsa(a.alphabet, a.states, a.final, a.initial, flipped)
 
 
-def _forward_backward(a: Fsa) -> tuple[set[str], set[str]]:
+def trim(a: Fsa) -> Fsa:
+    """Keep exactly the states that lie on some path from an initial to a final
+    state; ``a`` itself when that is every state."""
     fwd: dict[str, set[str]] = {}
     bwd: dict[str, set[str]] = {}
     for src, _, dst in a.transitions:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-    return _reachable(a.initial, fwd), _reachable(a.final, bwd)
-
-
-def trim(a: Fsa) -> Fsa:
-    """Keep exactly the states that lie on some path from an initial to a final state."""
-    accessible, coaccessible = _forward_backward(a)
-    keep = accessible & coaccessible
+    keep = _reachable(a.initial, fwd) & _reachable(a.final, bwd)
     if len(keep) == a.n:
         return a
     states = tuple(q for q in a.states if q in keep)
@@ -295,8 +291,7 @@ def trim(a: Fsa) -> Fsa:
 
 
 def is_trim(a: Fsa) -> bool:
-    accessible, coaccessible = _forward_backward(a)
-    return len(accessible & coaccessible) == a.n
+    return trim(a) is a
 
 
 def _missing_pairs(a: Fsa) -> list[tuple[str, str]]:

@@ -1,6 +1,7 @@
 """Every public function with a cap or size parameter refuses a value below its
-floor with ValueError before any work, and the table below names every such
-parameter, so a new entry point cannot skip the rule unnoticed."""
+floor with ValueError before any work (``matrix_range`` one above its ceiling
+too), and the table below names every such parameter, so a new entry point
+cannot skip the rule unnoticed."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import inspect
 
 import pytest
 
-from detsize.boolmat import BoolMatrix, matrix_range
+from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, matrix_range
 from detsize.bounds import all_but_one_bound, full_report, monoid_bound, monoid_closure, range_bound, subset_complexity
 from detsize.determinize import (
     distinguishing_word,
@@ -39,7 +40,7 @@ I16 = BoolMatrix.identity(16)
 
 # (function, parameter) -> (a call with that parameter one below its floor, the error it raises)
 BELOW_FLOOR = {
-    ("matrix_range", "cap"): (lambda: matrix_range(I16, cap=-1), "range cap exceeded"),
+    ("matrix_range", "cap"): (lambda: matrix_range(I16, cap=-1), "cap must be at least 0"),
     ("monoid_closure", "cap"): (lambda: monoid_closure([I16], cap=0), "cap must be at least 1"),
     ("monoid_bound", "cap"): (lambda: monoid_bound(M16, cap=0), "monoid_cap must be at least 1"),
     ("range_bound", "range_cap"): (lambda: range_bound(M16, range_cap=-1), "range_cap must be at least 0"),
@@ -78,13 +79,23 @@ def test_table_names_every_cap_parameter():
     assert set(BELOW_FLOOR) == found
 
 
-@pytest.mark.parametrize("key", sorted(BELOW_FLOOR), ids="{0[0]}-{0[1]}".format)
-def test_below_floor_is_refused_before_any_work(key, monkeypatch):
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every entry of ``WORK`` fail, so a check that runs after any work shows."""
     def fail(*args, **kwargs):
-        raise AssertionError(f"work started before {key[1]} was checked")
+        raise AssertionError("work started before the cap was checked")
 
     for target in WORK:
         monkeypatch.setattr(target, fail)
+
+
+@pytest.mark.parametrize("key", sorted(BELOW_FLOOR), ids="{0[0]}-{0[1]}".format)
+def test_below_floor_is_refused_before_any_work(key, no_work):
     call, message = BELOW_FLOOR[key]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_range_cap_above_ceiling_is_refused_before_any_work(no_work):
+    with pytest.raises(ValueError, match=f"cap must be at most {MAX_RANGE_CAP}"):
+        matrix_range(I16, cap=MAX_RANGE_CAP + 1)

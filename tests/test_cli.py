@@ -405,8 +405,18 @@ class TestUniversalCmd:
         word = () if witness == "<eps>" else tuple(witness.split())
         assert not accepts(gen_moore(3), word)
 
-    def test_moore24_answers_under_default_cap(self, tmp_path):
-        result = run_cli("universal", write(tmp_path, "m24.fsa", gen_moore(24)))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            serialize_fsa(gen_moore(24)).encode(),  # answers at once under the default cap
+            b"\xef\xbb\xbf@initial q0\nq0 a q1\n@final q1\n",  # as some editors save UTF-8
+        ],
+        ids=["moore24", "byte-order-mark"],
+    )
+    def test_empty_word_rejected(self, text, tmp_path):
+        path = tmp_path / "a.fsa"
+        path.write_bytes(text)
+        result = run_cli("universal", str(path))
         assert result.returncode == 1
         assert result.stdout == "not universal: <eps>\n"
 

@@ -203,10 +203,12 @@ class TestMinimize:
                 frozenset({("q", "a", "q"), ("q", "b", "q")}))
         assert minimize(d) is d
 
-    def test_unreachable_state_dropped_from_minimal_part(self):
-        # the reachable part is minimal already, but z is not reachable
+    @pytest.mark.parametrize("final", [{"q"}, {"q", "z"}], ids=["z-own-block", "z-shares-q-block"])
+    def test_unreachable_state_dropped_from_minimal_part(self, final):
+        # the reachable part is minimal already, but z is not reachable: z either
+        # has a block of its own or, when final, shares q's block, which is kept
         loops = {(q, sym, q) for q in ("q", "z") for sym in ("a", "b")}
-        d = Fsa(("a", "b"), ("z", "q"), frozenset({"q"}), frozenset({"q"}), frozenset(loops))
+        d = Fsa(("a", "b"), ("z", "q"), frozenset({"q"}), frozenset(final), frozenset(loops))
         m = minimize(d)
         assert m.states == ("m0",)
         assert m.transitions == {("m0", "a", "m0"), ("m0", "b", "m0")}

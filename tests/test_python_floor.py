@@ -1,10 +1,11 @@
 """Every module of ``src/detsize`` parses as the oldest Python that
-``pyproject.toml`` admits (``requires-python``), and CI runs the ROADMAP's
-tier-1 command under that Python."""
+``pyproject.toml`` admits (``requires-python``), CI runs the ROADMAP's
+tier-1 command under that Python, and CI runs every workload of the benchmark."""
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -35,11 +36,22 @@ def test_source_parses_at_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_floor())
 
 
-def test_ci_runs_tier1_at_floor():
+def _ci_jobs() -> dict:
     yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
-    job = workflow["jobs"]["tier1"]
+    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))["jobs"]
+
+
+def test_ci_runs_tier1_at_floor():
+    job = _ci_jobs()["tier1"]
     assert "{}.{}".format(*_floor()) in job["strategy"]["matrix"]["python-version"]
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert job["steps"][-1]["run"] == command
+
+
+def test_ci_runs_every_benchmark_workload():
+    steps = _ci_jobs()["bench-smoke"]["steps"]
+    run = "\n".join(step["run"] for step in steps if "run" in step)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = [w["name"] for w in benchmark["workloads"] if not re.search(rf"\b{w['name']}\b", run)]
+    assert missing == []

@@ -92,9 +92,11 @@ class BoolMatrix:
         successor of the subset encoded by v."""
         if v < 0 or v >> self.n:
             raise ValueError("vector bits outside matrix dimension")
-        acc = 0
-        for i in _bits(v):
-            acc |= self.rows[i]
+        rows, acc = self.rows, 0
+        while v:
+            low = v & -v
+            acc |= rows[low.bit_length() - 1]
+            v ^= low
         return acc
 
     def power(self, k: int) -> "BoolMatrix":

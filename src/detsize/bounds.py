@@ -81,15 +81,15 @@ class MonoidClosure:
 
 
 class _ImageTable(dict):
-    """Row id -> id of row.g for one generator g, filled on first lookup by ``step``; a new row
-    takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector or in a generator's
-    range: an id space, even one shared by a report's closures, holds at most n + the summed range sizes."""
+    """Row id -> id of row.g for one generator g, filled on first lookup by ``steps[k]`` (a miss is a step
+    of g); a new row takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector or in a
+    generator's range: an id space, even one shared by a report's closures, holds at most n + the summed range sizes."""
 
-    def __init__(self, step: Callable[[int], int], ids: dict[int, int], rows: list[int]):
-        self.step, self.ids, self.rows = step, ids, rows
+    def __init__(self, steps: list[Callable[[int], int]], k: int, ids: dict[int, int], rows: list[int]):
+        self.steps, self.k, self.ids, self.rows = steps, k, ids, rows
 
     def __missing__(self, i: int) -> int:
-        j = self.ids.setdefault(v := self.step(self.rows[i]), len(self.rows))
+        j = self.ids.setdefault(v := self.steps[self.k](self.rows[i]), len(self.rows))
         if j == len(self.rows):
             if j > _MAX_ROW_ID:
                 raise OverflowError("row ids exhausted")
@@ -122,7 +122,8 @@ def monoid_closure(
     _require("cap", cap, 1)
     rows = [1 << i for i in range(n)]
     ids = dict(zip(rows, range(n)))
-    queue, capped = _closure([_ImageTable(g.apply, ids, rows) for g in mats], n, cap)
+    steps = [g.apply for g in mats]
+    queue, capped = _closure([_ImageTable(steps, k, ids, rows) for k in range(len(steps))], n, cap)
     return MonoidClosure(tuple(queue), tuple(rows), n, capped, cap)
 
 
@@ -167,7 +168,7 @@ class _Analysis:
         """One row table per symbol, filled by its subset step, on one row-id space shared by every closure."""
         rows = [1 << i for i in range(self.a.n)]
         ids = dict(zip(rows, range(self.a.n)))
-        return {sym: _ImageTable(step, ids, rows) for sym, step in zip(self.a.alphabet, self.steps[0])}
+        return {sym: _ImageTable(self.steps[0], k, ids, rows) for k, sym in enumerate(self.a.alphabet)}
 
     @cached_property
     def range_sizes(self) -> dict[str, int]:

@@ -13,8 +13,10 @@ from .fsa import Fsa, Word, _require, is_codeterministic, is_deterministic, is_t
 
 DEFAULT_MAX_STATES = 2**20
 
-# _subset_steps builds full 2**n image tables up to this dimension only
+# the memory ceiling of image tables: no 2**n table is built above this dimension
 _TABLE_LIMIT = 16
+# a symbol's image table is built once the symbol has taken 2**(n - _PAYBACK) steps
+_PAYBACK = 5
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -88,14 +90,41 @@ class SubsetAutomaton:
 def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]) -> tuple[list[Callable[[int], int]], int, int]:
     """The subset-step function of each symbol of ``alphabet`` in order, mapping
     a subset bitmask of ``a`` to its successor, plus the initial subset and the
-    final mask. A symbol of ``a`` steps through the image table of its matrix in
-    ``mats``, or through ``BoolMatrix.apply`` above ``_TABLE_LIMIT`` states; a
-    symbol that ``a`` lacks steps every subset to the empty one, with no table."""
-    by_symbol = {sym: image_table(m).__getitem__ if a.n <= _TABLE_LIMIT else m.apply for sym, m in mats.items()}
+    final mask. Users call ``steps[k]`` afresh each time: a step may replace itself.
+
+    A symbol of ``a`` rents ``BoolMatrix.apply`` until it has taken 2**(n - _PAYBACK)
+    steps, then buys the image table of its matrix in ``mats`` and steps through
+    it: ski rental (Karlin, Manasse, Rudolph and Sleator, 1988), never much more
+    than twice the cheaper choice made in hindsight. A price of at most 4 steps
+    buys at once, keeping the many tiny automata off the meter; above
+    ``_TABLE_LIMIT`` states nothing is bought. A symbol that ``a`` lacks steps
+    every subset to the empty one, with no table."""
+    steps: list[Callable[[int], int]] = []
+    for sym in alphabet:
+        m = mats.get(sym)
+        if m is None:
+            steps.append(lambda subset: 0)
+        elif a.n > _TABLE_LIMIT:
+            steps.append(m.apply)
+        elif a.n - _PAYBACK <= 2:
+            steps.append(image_table(m).__getitem__)
+        else:
+            steps.append(_rent(steps, len(steps), m, 1 << a.n - _PAYBACK))
     idx = a.state_index
     init = sum(1 << idx[q] for q in a.initial)
     final_mask = sum(1 << idx[q] for q in a.final)
-    return [by_symbol.get(sym, lambda subset: 0) for sym in alphabet], init, final_mask
+    return steps, init, final_mask
+
+
+def _rent(steps: list[Callable[[int], int]], k: int, m: BoolMatrix, price: int) -> Callable[[int], int]:
+    """``m.apply``, counting its calls; the ``price``-th call puts the image table of ``m`` in ``steps[k]``."""
+    def step(subset: int) -> int:
+        nonlocal price
+        price -= 1
+        if not price:
+            steps[k] = image_table(m).__getitem__
+        return m.apply(subset)
+    return step
 
 
 def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAutomaton:

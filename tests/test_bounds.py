@@ -445,8 +445,9 @@ class TestFullReport:
     @pytest.mark.parametrize("n", [16, 17])
     def test_matrices_and_tables_built_once(self, n, monkeypatch):
         # the subset construction and every monoid closure of a report share
-        # one set of matrices and, up to 16 states, one image table per symbol;
-        # the range bound alone needs no table
+        # one set of matrices and, up to 16 states, at most one image table per
+        # symbol, bought once its steps have paid for it; the range bound alone
+        # needs no table
         matrices, tables = [], []
 
         def counting_matrices(a):
@@ -464,7 +465,7 @@ class TestFullReport:
         report = full_report(a, monoid_cap=500)
         assert report.subset_size is not None and report.subset_complexity is not None
         assert matrices == [a]
-        assert tables == (list(transition_matrices(a).values()) if n <= 16 else [])
+        assert len(set(map(id, tables))) == len(tables) <= (len(a.alphabet) if n <= 16 else 0)
         tables.clear()
         assert range_bound(a) == report.range_bound
         assert tables == []
@@ -516,3 +517,69 @@ class TestFullReport:
             universality_witness(gen_moore(16), max_states=0)
         with pytest.raises(ValueError, match="max_states must be at least 1"):
             distinguishing_word(gen_moore(16), gen_moore(16), max_states=0)
+
+
+def _outcomes(autos: list[Fsa]) -> list[tuple]:
+    """Every answer that runs on the subset steps, for each automaton (its
+    witness search against the next one of the list)."""
+    out = []
+    for a, b in zip(autos, autos[1:] + autos[:1]):
+        s = subset_construct(a)
+        report = full_report(a, monoid_cap=2_000)
+        out.append(((s.subsets, s.transitions, s.final_flags), report, distinguishing_word(a, b), universality_witness(a)))
+    return out
+
+
+def _counting_tables(monkeypatch) -> list[BoolMatrix]:
+    built: list[BoolMatrix] = []
+
+    def counting(m):
+        built.append(m)
+        return image_table(m)
+
+    monkeypatch.setattr("detsize.determinize.image_table", counting)
+    return built
+
+
+class TestTablesPayForThemselves:
+    """A symbol steps through BoolMatrix.apply until its steps, counted over
+    every user, reach 2**(n - _PAYBACK); then its image table replaces the step."""
+
+    SPARSE16 = gen_random(RandomNfaSpec(n=16, alphabet_size=3, density=0.15, seed=1))
+
+    @pytest.fixture(scope="class")
+    def inputs(self, random_nfas):
+        return random_nfas + [gen_moore(10), gen_meyer_fischer(10)]
+
+    @pytest.fixture(scope="class")
+    def expected(self, inputs):
+        return _outcomes(inputs)
+
+    @pytest.mark.parametrize("payback", [64, 1, -64], ids=["at-once", "part-way", "never"])
+    def test_switch_point_changes_no_answer(self, payback, inputs, expected, monkeypatch):
+        monkeypatch.setattr("detsize.determinize._PAYBACK", payback)
+        built = _counting_tables(monkeypatch)
+        assert _outcomes(inputs) == expected
+        assert (built != []) == (payback != -64)
+
+    def test_sparse_input_buys_no_table(self, monkeypatch):
+        # 21 reachable subsets and a few hundred closure rows per symbol, far below 2**11 steps
+        built = _counting_tables(monkeypatch)
+        report = full_report(self.SPARSE16, monoid_cap=10_000)
+        assert (report.subset_size, report.subset_complexity) == (21, subset_complexity(self.SPARSE16)[0])
+        all_but_one_bound(self.SPARSE16, "a")
+        assert built == []
+
+    def test_dense_input_buys_each_table_once(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        assert subset_construct(gen_moore(16)).n == 2**16
+        assert sorted(map(id, built)) == sorted(set(map(id, built))) and len(built) == 2
+
+    def test_closure_misses_pay_too(self, monkeypatch):
+        # no initial state: the subset construction takes one step per symbol,
+        # so only the closures' misses can pay for the tables
+        mf = gen_meyer_fischer(16)
+        a = Fsa(mf.alphabet, mf.states, frozenset(), mf.final, mf.transitions)
+        built = _counting_tables(monkeypatch)
+        assert full_report(a, monoid_cap=10_000).subset_size == 1
+        assert len(built) == len(set(map(id, built))) == len(a.alphabet)

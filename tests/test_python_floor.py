@@ -1,6 +1,7 @@
 """Every module of ``src/detsize`` parses as the oldest Python that
 ``pyproject.toml`` admits (``requires-python``), CI runs the ROADMAP's
-tier-1 command under that Python, and CI runs every workload of the benchmark."""
+tier-1 command under that Python, and CI runs every workload of the benchmark
+and pins the digest of the reports of each workload that writes them."""
 
 from __future__ import annotations
 
@@ -55,3 +56,18 @@ def test_ci_runs_every_benchmark_workload():
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     missing = [w["name"] for w in benchmark["workloads"] if not re.search(rf"\b{w['name']}\b", run)]
     assert missing == []
+
+
+# sha256 over a workload's report texts, as bench/run.py prints it; the same for every seed
+REPORT_DIGESTS = {
+    "forecast": "acc1ff323bf46e451964a4bb222b756af25cb075768b8ba9c2ff4bf193944dfb",
+    "corpus": "04222c6b66cba35a0e0afa8c376789b0247dbbd0fdfa038c1f2276112ac2722c",
+}
+
+
+def test_ci_pins_report_digests():
+    steps = _ci_jobs()["bench-smoke"]["steps"]
+    lines = "\n".join(step["run"] for step in steps if "run" in step).splitlines()
+    for workload, digest in REPORT_DIGESTS.items():
+        pins = [line for line in lines if f"reports_sha256={digest}" in line]
+        assert len(pins) == 1 and re.search(rf"\b{workload}\b", pins[0]), workload

@@ -57,8 +57,8 @@ class MonoidClosure:
     closed under right-multiplication by the generators.
 
     ``packed`` lists the elements in breadth-first order as strings whose i-th
-    code point is the id of row i, ``row_of_id`` maps ids to row bitmasks, and
-    ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
+    code point is the id of row i, ``row_of_id`` maps ids, numbered in fill order, to row
+    bitmasks, and ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
     """
 
     packed: tuple[str, ...]
@@ -80,21 +80,24 @@ class MonoidClosure:
         return frozenset(BoolMatrix(self.n, r) for r in self.rows)
 
 
-class _ImageTable(dict):
-    """Row id -> id of row.g for one generator g, filled on first lookup by ``steps[k]`` (a miss is a step
-    of g); a new row takes the next id (OverflowError past _MAX_ROW_ID). A row met is a unit vector or in a
-    generator's range: an id space, even one shared by a report's closures, holds at most n + the summed range sizes."""
+class _ImageTable:
+    """Row id -> id of row.g for one generator g, in the plain list ``images``; ``cover(end)`` fills it up to id ``end``,
+    one ``steps[k]`` call (a step of g) per row, and a new row takes the next id (OverflowError past _MAX_ROW_ID). A row met
+    is a unit vector or in a generator's range: an id space, even one shared, holds at most n + the summed range sizes."""
 
     def __init__(self, steps: list[Callable[[int], int]], k: int, ids: dict[int, int], rows: list[int]):
         self.steps, self.k, self.ids, self.rows = steps, k, ids, rows
+        self.images: list[int] = []
 
-    def __missing__(self, i: int) -> int:
-        j = self.ids.setdefault(v := self.steps[self.k](self.rows[i]), len(self.rows))
-        if j == len(self.rows):
-            if j > _MAX_ROW_ID:
-                raise OverflowError("row ids exhausted")
-            self.rows.append(v)
-        return self.setdefault(i, j)
+    def cover(self, end: int) -> None:
+        images, ids, rows = self.images, self.ids, self.rows
+        for i in range(len(images), end):
+            j = ids.setdefault(v := self.steps[self.k](rows[i]), len(rows))
+            if j == len(rows):
+                if j > _MAX_ROW_ID:
+                    raise OverflowError("row ids exhausted")
+                rows.append(v)
+            images.append(j)
 
 
 def monoid_closure(
@@ -105,7 +108,7 @@ def monoid_closure(
 ) -> MonoidClosure:
     """Closure of the given matrices under Boolean product, with the identity,
     built breadth-first by right-multiplication on strings of row ids (unit
-    vectors first); x.g is x.translate(table of g).
+    vectors first, then the rows in fill order); x.g is x.translate(table of g).
 
     With no generators the result is {identity}; ``dim`` must then supply the
     dimension. Enumeration stops with ``capped`` set once the element count
@@ -128,18 +131,25 @@ def monoid_closure(
 
 
 def _closure(tables: list[_ImageTable], n: int, cap: int) -> tuple[list[str], bool]:
-    """The elements of monoid_closure, on the id space of the generators' tables, and whether it capped."""
+    """The elements of monoid_closure, on the id space of the generators' tables, and whether it capped; each
+    table is covered up to the ids met before each breadth-first level, as a miss in a list keeps its code point."""
     queue = ["".join(map(chr, range(n)))]
     seen = set(queue)
+    images = [table.images for table in tables]
+    start = 0
     try:
-        for current in queue:
-            for table in tables:
-                nxt = current.translate(table)
-                if nxt not in seen:
-                    if len(queue) == cap:
-                        return queue, True
-                    seen.add(nxt)
-                    queue.append(nxt)
+        while start < len(queue):
+            level, start = queue[start:], len(queue)
+            for table in tables:  # a no-op for a table covered already: the id space has not grown
+                table.cover(len(table.rows))
+            for current in level:
+                for image in images:
+                    nxt = current.translate(image)
+                    if nxt not in seen:
+                        if len(queue) == cap:
+                            return queue, True
+                        seen.add(nxt)
+                        queue.append(nxt)
     except OverflowError:  # the next row id would pass _MAX_ROW_ID
         return queue, True
     return queue, False
@@ -165,7 +175,7 @@ class _Analysis:
 
     @cached_property
     def tables(self) -> dict[str, _ImageTable]:
-        """One row table per symbol, filled by its subset step, on one row-id space shared by every closure."""
+        """One row table per symbol, filled by its subset step, on one row-id space (ids in fill order) shared by every closure."""
         rows = [1 << i for i in range(self.a.n)]
         ids = dict(zip(rows, range(self.a.n)))
         return {sym: _ImageTable(self.steps[0], k, ids, rows) for k, sym in enumerate(self.a.alphabet)}

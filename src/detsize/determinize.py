@@ -3,6 +3,7 @@ universality checks, and state complexity."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -87,6 +88,10 @@ class SubsetAutomaton:
         return self.final_flags[i]
 
 
+class _Steps(list):
+    __slots__ = ("__weakref__",)  # renting steps reference their list weakly, so no cycle outlives its users
+
+
 def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]) -> tuple[list[Callable[[int], int]], int, int]:
     """The subset-step function of each symbol of ``alphabet`` in order, mapping
     a subset bitmask of ``a`` to its successor, plus the initial subset and the
@@ -99,7 +104,7 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
     buys at once, keeping the many tiny automata off the meter; above
     ``_TABLE_LIMIT`` states nothing is bought. A symbol that ``a`` lacks steps
     every subset to the empty one, with no table."""
-    steps: list[Callable[[int], int]] = []
+    steps = _Steps()
     for sym in alphabet:
         m = mats.get(sym)
         if m is None:
@@ -109,20 +114,20 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
         elif a.n - _PAYBACK <= 2:
             steps.append(image_table(m).__getitem__)
         else:
-            steps.append(_rent(steps, len(steps), m, 1 << a.n - _PAYBACK))
+            steps.append(_rent(weakref.ref(steps), len(steps), m, 1 << a.n - _PAYBACK))
     idx = a.state_index
     init = sum(1 << idx[q] for q in a.initial)
     final_mask = sum(1 << idx[q] for q in a.final)
     return steps, init, final_mask
 
 
-def _rent(steps: list[Callable[[int], int]], k: int, m: BoolMatrix, price: int) -> Callable[[int], int]:
-    """``m.apply``, counting its calls; the ``price``-th call puts the image table of ``m`` in ``steps[k]``."""
+def _rent(steps: weakref.ref, k: int, m: BoolMatrix, price: int) -> Callable[[int], int]:
+    """``m.apply``, counting its calls; the ``price``-th call puts the image table of ``m`` in ``steps()[k]``."""
     def step(subset: int) -> int:
         nonlocal price
         price -= 1
         if not price:
-            steps[k] = image_table(m).__getitem__
+            steps()[k] = image_table(m).__getitem__
         return m.apply(subset)
     return step
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -115,11 +116,10 @@ class TestMonoidClosure:
                 c = monoid_closure(gens, cap=cap)
                 assert c.capped == (len(expected) > cap)
                 assert c.size == min(len(expected), cap)
-                got = {
-                    frozenset((i, j) for i, r in enumerate(e.rows) for j in range(n) if r >> j & 1)
-                    for e in c.elements
-                }
-                assert got == set(expected[:cap])
+                # the decoded elements in breadth-first order, as the oracle lists them
+                decoded = ([c.row_of_id[ord(i)] for i in x] for x in c.packed)
+                got = [frozenset((i, j) for i, r in enumerate(rows) for j in range(n) if r >> j & 1) for rows in decoded]
+                assert got == expected[:cap]
                 outcomes.add(c.capped)
                 row_ids = max(row_ids, len(c.row_of_id))
         assert outcomes == {False, True}
@@ -151,13 +151,16 @@ class TestMonoidClosure:
         for seed in range(3):
             a = gen_random(RandomNfaSpec(n=n, alphabet_size=3, density=2.5 / n, seed=seed))
             analysis = _Analysis(a)
+            first, *rest = analysis.tables.values()
             for cap in (7, 500):
                 for split in _split_preference(a.alphabet):
                     fresh = monoid_closure([analysis.mats[s] for s in split], cap, dim=n)
                     assert analysis.monoid_size(split, cap) == (None if fresh.capped else fresh.size)
                     assert analysis._closures[split] == (fresh.size, fresh.capped)
+                    queue, capped = _closure([analysis.tables[s] for s in split], n, cap)
+                    shared = [[first.rows[ord(i)] for i in x] for x in queue]
+                    assert (shared, capped) == ([[fresh.row_of_id[ord(i)] for i in x] for x in fresh.packed], fresh.capped)
                     outcomes.add(fresh.capped)
-            first, *rest = analysis.tables.values()
             assert all(t.rows is first.rows and t.ids is first.ids for t in rest)
             assert first.rows[:n] == [1 << i for i in range(n)]
         assert outcomes == {False, True}
@@ -575,9 +578,20 @@ class TestTablesPayForThemselves:
         assert subset_construct(gen_moore(16)).n == 2**16
         assert sorted(map(id, built)) == sorted(set(map(id, built))) and len(built) == 2
 
+    def test_renting_steps_leave_no_cycle(self):
+        # a renting step holds its step list weakly, so a report still renting
+        # when it ends is freed at once, not left to the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            full_report(self.SPARSE16, monoid_cap=10_000)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_closure_misses_pay_too(self, monkeypatch):
         # no initial state: the subset construction takes one step per symbol,
-        # so only the closures' misses can pay for the tables
+        # so only the closures' table fills can pay for the tables
         mf = gen_meyer_fischer(16)
         a = Fsa(mf.alphabet, mf.states, frozenset(), mf.final, mf.transitions)
         built = _counting_tables(monkeypatch)

@@ -1,7 +1,8 @@
 """Every module of ``src/detsize`` parses as the oldest Python that
 ``pyproject.toml`` admits (``requires-python``), CI runs the ROADMAP's
-tier-1 command under that Python, and CI runs every workload of the benchmark
-and pins the digest of the reports of each workload that writes them."""
+tier-1 command under that Python, and CI runs every workload of the benchmark,
+under that Python too, and pins the digest of the reports of each workload
+that writes them."""
 
 from __future__ import annotations
 
@@ -48,6 +49,13 @@ def test_ci_runs_tier1_at_floor():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert job["steps"][-1]["run"] == command
+
+
+def test_ci_runs_benchmark_at_floor():
+    job = _ci_jobs()["bench-smoke"]
+    assert "{}.{}".format(*_floor()) in job["strategy"]["matrix"]["python-version"]
+    setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
+    assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
 
 
 def test_ci_runs_every_benchmark_workload():

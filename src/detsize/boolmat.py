@@ -105,11 +105,6 @@ class BoolMatrix:
             result = result.multiply(self)
         return result
 
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join("1" if (r >> j) & 1 else "0" for j in range(self.n)) for r in self.rows
-        )
-
 
 def transition_matrices(a: Fsa) -> dict[str, BoolMatrix]:
     """One Boolean matrix per symbol; entry (i, j) is set iff state i steps to

@@ -20,7 +20,7 @@ from .boolmat import (
     rank_gf2,
     transition_matrices,
 )
-from .determinize import DEFAULT_MAX_STATES, BlowUpError, _construct, _subset_steps
+from .determinize import DEFAULT_MAX_STATES, BlowUpError, _construct, _Steps, _subset_steps
 from .fsa import Fsa, _require
 
 DEFAULT_MONOID_CAP = 100_000
@@ -57,8 +57,9 @@ class MonoidClosure:
     closed under right-multiplication by the generators.
 
     ``packed`` lists the elements in breadth-first order as strings whose i-th
-    code point is the id of row i, ``row_of_id`` maps ids, numbered in fill order, to row
-    bitmasks, and ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
+    code point is the id of row i, ``row_of_id`` holds the rows of the closure's row space
+    by id (the unit vectors, then each row in the order its image lists met it), and
+    ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
     """
 
     packed: tuple[str, ...]
@@ -80,24 +81,12 @@ class MonoidClosure:
         return frozenset(BoolMatrix(self.n, r) for r in self.rows)
 
 
-class _ImageTable:
-    """Row id -> id of row.g for one generator g, in the plain list ``images``; ``cover(end)`` fills it up to id ``end``,
-    one ``steps[k]`` call (a step of g) per row, and a new row takes the next id (OverflowError past _MAX_ROW_ID). A row met
-    is a unit vector or in a generator's range: an id space, even one shared, holds at most n + the summed range sizes."""
-
-    def __init__(self, steps: list[Callable[[int], int]], k: int, ids: dict[int, int], rows: list[int]):
-        self.steps, self.k, self.ids, self.rows = steps, k, ids, rows
-        self.images: list[int] = []
-
-    def cover(self, end: int) -> None:
-        images, ids, rows = self.images, self.ids, self.rows
-        for i in range(len(images), end):
-            j = ids.setdefault(v := self.steps[self.k](rows[i]), len(rows))
-            if j == len(rows):
-                if j > _MAX_ROW_ID:
-                    raise OverflowError("row ids exhausted")
-                rows.append(v)
-            images.append(j)
+def _row_space(steps: Sequence[Callable[[int], int]], n: int) -> tuple:
+    """A row space for closures that step through ``steps``: the steps, row -> id, the rows by id (unit vectors
+    first, then in fill order) and one image list per step (row id -> id of row.step). A row met is a unit vector
+    or in a step's range, so a space, even one shared by every closure of a report, holds at most n + their sum."""
+    rows = [1 << i for i in range(n)]
+    return steps, dict(zip(rows, range(n))), rows, [[] for _ in steps]
 
 
 def monoid_closure(
@@ -107,8 +96,9 @@ def monoid_closure(
     dim: int | None = None,
 ) -> MonoidClosure:
     """Closure of the given matrices under Boolean product, with the identity,
-    built breadth-first by right-multiplication on strings of row ids (unit
-    vectors first, then the rows in fill order); x.g is x.translate(table of g).
+    built breadth-first by right-multiplication on strings of row ids, on a row
+    space of its own stepping through ``g.apply``; x.g is x.translate(the image
+    list of g), each list filled one level ahead (see ``_closure``).
 
     With no generators the result is {identity}; ``dim`` must then supply the
     dimension. Enumeration stops with ``capped`` set once the element count
@@ -123,35 +113,38 @@ def monoid_closure(
         if d != n:
             raise ValueError(f"dimension mismatch: {d} vs {n}")
     _require("cap", cap, 1)
-    rows = [1 << i for i in range(n)]
-    ids = dict(zip(rows, range(n)))
-    steps = [g.apply for g in mats]
-    queue, capped = _closure([_ImageTable(steps, k, ids, rows) for k in range(len(steps))], n, cap)
-    return MonoidClosure(tuple(queue), tuple(rows), n, capped, cap)
+    space = _row_space([g.apply for g in mats], n)
+    queue, capped = _closure(space, range(len(mats)), n, cap)
+    return MonoidClosure(tuple(queue), tuple(space[2]), n, capped, cap)
 
 
-def _closure(tables: list[_ImageTable], n: int, cap: int) -> tuple[list[str], bool]:
-    """The elements of monoid_closure, on the id space of the generators' tables, and whether it capped; each
-    table is covered up to the ids met before each breadth-first level, as a miss in a list keeps its code point."""
+def _closure(space: tuple, ks: Sequence[int], n: int, cap: int) -> tuple[list[str], bool]:
+    """The elements of the monoid that steps ``ks`` of the row ``space`` generate, and whether it capped. Before each
+    breadth-first level, each of their image lists is filled up to the rows met so far, one ``steps[k]`` call per
+    row: a level holds only rows met before it, and a miss in a list would keep its code point silently."""
+    steps, ids, rows, lists = space
+    images = [lists[k] for k in ks]
     queue = ["".join(map(chr, range(n)))]
     seen = set(queue)
-    images = [table.images for table in tables]
     start = 0
-    try:
-        while start < len(queue):
-            level, start = queue[start:], len(queue)
-            for table in tables:  # a no-op for a table covered already: the id space has not grown
-                table.cover(len(table.rows))
-            for current in level:
-                for image in images:
-                    nxt = current.translate(image)
-                    if nxt not in seen:
-                        if len(queue) == cap:
-                            return queue, True
-                        seen.add(nxt)
-                        queue.append(nxt)
-    except OverflowError:  # the next row id would pass _MAX_ROW_ID
-        return queue, True
+    while start < len(queue):
+        level, start = queue[start:], len(queue)
+        for k, image in zip(ks, images):
+            for i in range(len(image), len(rows)):  # empty unless the space grew since the list was last filled
+                j = ids.setdefault(v := steps[k](rows[i]), len(rows))
+                if j == len(rows):
+                    if j > _MAX_ROW_ID:  # row ids are code points
+                        return queue, True
+                    rows.append(v)
+                image.append(j)
+        for current in level:
+            for image in images:
+                nxt = current.translate(image)
+                if nxt not in seen:
+                    if len(queue) == cap:
+                        return queue, True
+                    seen.add(nxt)
+                    queue.append(nxt)
     return queue, False
 
 
@@ -170,15 +163,13 @@ class _Analysis:
         self._closures: dict[tuple[str, ...], tuple[int, bool]] = {}
 
     @cached_property
-    def steps(self) -> tuple[list[Callable[[int], int]], int, int]:
+    def steps(self) -> _Steps:
         return _subset_steps(self.a, self.a.alphabet, self.mats)
 
     @cached_property
-    def tables(self) -> dict[str, _ImageTable]:
-        """One row table per symbol, filled by its subset step, on one row-id space (ids in fill order) shared by every closure."""
-        rows = [1 << i for i in range(self.a.n)]
-        ids = dict(zip(rows, range(self.a.n)))
-        return {sym: _ImageTable(self.steps[0], k, ids, rows) for k, sym in enumerate(self.a.alphabet)}
+    def space(self) -> tuple:
+        """The one row space of every closure of the analysis, stepping through the subset steps."""
+        return _row_space(self.steps, self.a.n)
 
     @cached_property
     def range_sizes(self) -> dict[str, int]:
@@ -200,7 +191,7 @@ class _Analysis:
         answers every cap up to c; a larger cap recomputes the closure."""
         known = self._closures.get(split)
         if known is None or (known[1] and cap > known[0]):
-            queue, capped = _closure([self.tables[s] for s in split], self.a.n, cap)
+            queue, capped = _closure(self.space, [self.a.alphabet.index(s) for s in split], self.a.n, cap)
             known = self._closures[split] = (len(queue), capped)
         size, capped = known
         return None if capped or size > cap else size
@@ -372,7 +363,7 @@ def full_report(
     )
 
     try:
-        subset_size = _construct(a, *analysis.steps, max_states).n
+        subset_size = _construct(a, analysis.steps, max_states).n
     except BlowUpError:
         subset_size = None
 

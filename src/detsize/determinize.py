@@ -89,13 +89,16 @@ class SubsetAutomaton:
 
 
 class _Steps(list):
-    __slots__ = ("__weakref__",)  # renting steps reference their list weakly, so no cycle outlives its users
+    """Subset-step functions, with the initial subset ``init`` and the ``final`` mask of their automaton."""
+    __slots__ = ("__weakref__", "init", "final")  # renting steps reference their list weakly: no cycle outlives its users
 
 
-def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]) -> tuple[list[Callable[[int], int]], int, int]:
+def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]) -> _Steps:
     """The subset-step function of each symbol of ``alphabet`` in order, mapping
-    a subset bitmask of ``a`` to its successor, plus the initial subset and the
-    final mask. Users call ``steps[k]`` afresh each time: a step may replace itself.
+    a subset bitmask of ``a`` to its successor, as one ``_Steps`` value that
+    carries ``a``'s initial subset and final mask. Users call ``steps[k]``
+    afresh each time, since a step may replace itself; a monoid closure fills
+    its image lists, one level ahead, through the same calls.
 
     A symbol of ``a`` rents ``BoolMatrix.apply`` until it has taken 2**(n - _PAYBACK)
     steps, then buys the image table of its matrix in ``mats`` and steps through
@@ -116,9 +119,9 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
         else:
             steps.append(_rent(weakref.ref(steps), len(steps), m, 1 << a.n - _PAYBACK))
     idx = a.state_index
-    init = sum(1 << idx[q] for q in a.initial)
-    final_mask = sum(1 << idx[q] for q in a.final)
-    return steps, init, final_mask
+    steps.init = sum(1 << idx[q] for q in a.initial)
+    steps.final = sum(1 << idx[q] for q in a.final)
+    return steps
 
 
 def _rent(steps: weakref.ref, k: int, m: BoolMatrix, price: int) -> Callable[[int], int]:
@@ -142,13 +145,13 @@ def subset_construct(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> SubsetAuto
     than truncating.
     """
     _require("max_states", max_states, 1)
-    return _construct(a, *_subset_steps(a, a.alphabet, transition_matrices(a)), max_states)
+    return _construct(a, _subset_steps(a, a.alphabet, transition_matrices(a)), max_states)
 
 
-def _construct(a: Fsa, steps: list[Callable[[int], int]], init: int, final_mask: int, max_states: int) -> SubsetAutomaton:
-    index = {init: 0}
+def _construct(a: Fsa, steps: _Steps, max_states: int) -> SubsetAutomaton:
+    index = {steps.init: 0}
     rows: list[tuple[int, ...]] = [()]
-    stack = [init]
+    stack = [steps.init]
     while stack:
         cur = stack.pop()
         row = []
@@ -165,7 +168,7 @@ def _construct(a: Fsa, steps: list[Callable[[int], int]], init: int, final_mask:
             row.append(j)
         rows[index[cur]] = tuple(row)
     subsets = tuple(index)
-    return SubsetAutomaton(a, subsets, tuple(rows), tuple(bool(s & final_mask) for s in subsets))
+    return SubsetAutomaton(a, subsets, tuple(rows), tuple(bool(s & steps.final) for s in subsets))
 
 
 def _named_dfa(alphabet: tuple[str, ...], names, rows, final_flags) -> Fsa:
@@ -268,19 +271,19 @@ def state_complexity(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> int:
     return len(set(_refine(s.transitions, s.final_flags)))
 
 
-def _shortest_word(alphabet: tuple[str, ...], sides: list, is_witness: Callable, max_states: int) -> Word | None:
-    """Breadth-first search over tuples of subsets, one per automaton of
-    ``sides`` (as ``_subset_steps`` gives them), tested by ``is_witness`` when
-    discovered. Successors come in alphabet order, so the first witness found
-    is reached by the shortlex-least witness word. Discovering more than
-    ``max_states`` distinct tuples raises BlowUpError."""
-    start = tuple(init for _, init, _ in sides)
+def _shortest_word(alphabet: tuple[str, ...], sides: list[_Steps], is_witness: Callable, max_states: int) -> Word | None:
+    """Breadth-first search over tuples of subsets, one per automaton, each
+    stepped by its ``_Steps`` of ``sides`` from its ``init``, and tested by
+    ``is_witness`` when discovered. Successors come in alphabet order, so the
+    first witness found is reached by the shortlex-least witness word.
+    Discovering more than ``max_states`` distinct tuples raises BlowUpError."""
+    start = tuple(steps.init for steps in sides)
     if is_witness(start):
         return ()
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
     queue = [start]
     for node in queue:
-        successors = zip(*[[step(s) for step in steps] for s, (steps, _, _) in zip(node, sides)])
+        successors = zip(*[[step(s) for step in steps] for s, steps in zip(node, sides)])
         for sym, nxt in zip(alphabet, successors):
             if nxt in parent:
                 continue
@@ -307,7 +310,7 @@ def distinguishing_word(a: Fsa, b: Fsa, max_states: int = DEFAULT_MAX_STATES) ->
     _require("max_states", max_states, 1)
     union = tuple(dict.fromkeys(a.alphabet + b.alphabet))
     sides = [_subset_steps(x, union, transition_matrices(x)) for x in (a, b)]
-    final_a, final_b = sides[0][2], sides[1][2]
+    final_a, final_b = (steps.final for steps in sides)
     return _shortest_word(union, sides, lambda node: bool(node[0] & final_a) != bool(node[1] & final_b), max_states)
 
 
@@ -325,8 +328,8 @@ def universality_witness(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> Word |
     bounds the distinct subsets it discovers.
     """
     _require("max_states", max_states, 1)
-    side = _subset_steps(a, a.alphabet, transition_matrices(a))
-    return _shortest_word(a.alphabet, [side], lambda node: not node[0] & side[2], max_states)
+    steps = _subset_steps(a, a.alphabet, transition_matrices(a))
+    return _shortest_word(a.alphabet, [steps], lambda node: not node[0] & steps.final, max_states)
 
 
 def is_universal(a: Fsa, max_states: int = DEFAULT_MAX_STATES) -> bool:

@@ -409,6 +409,3 @@ class TestTransitionMatrices:
         a = Fsa.make([("q0", EPSILON, "q1")], ["q0"], ["q1"])
         with pytest.raises(ValueError):
             transition_matrices(a)
-
-    def test_debug_rendering(self):
-        assert str(SHIFT3) == "010\n001\n000"

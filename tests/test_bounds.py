@@ -35,6 +35,7 @@ from detsize.generators import (
 )
 
 from oracles import powers_closure, relation_closure
+from test_report_fixture import CAP_SETTINGS
 
 
 def cycle_matrix(k: int) -> BoolMatrix:
@@ -145,24 +146,27 @@ class TestMonoidClosure:
 
     @pytest.mark.parametrize("n", [4, 9, 17])
     def test_shared_row_ids_match_fresh_closures(self, n):
-        # every closure of one analysis shares its row ids and row tables; each
-        # split at each cap must still give what a fresh id space gives
+        # every closure of one analysis shares its one row space, with one image
+        # list per symbol; each split at each cap must still give what a fresh
+        # row space gives
         outcomes = set()
         for seed in range(3):
             a = gen_random(RandomNfaSpec(n=n, alphabet_size=3, density=2.5 / n, seed=seed))
             analysis = _Analysis(a)
-            first, *rest = analysis.tables.values()
+            space = analysis.space
+            steps, ids, rows, images = space
             for cap in (7, 500):
                 for split in _split_preference(a.alphabet):
                     fresh = monoid_closure([analysis.mats[s] for s in split], cap, dim=n)
                     assert analysis.monoid_size(split, cap) == (None if fresh.capped else fresh.size)
                     assert analysis._closures[split] == (fresh.size, fresh.capped)
-                    queue, capped = _closure([analysis.tables[s] for s in split], n, cap)
-                    shared = [[first.rows[ord(i)] for i in x] for x in queue]
+                    queue, capped = _closure(space, [a.alphabet.index(s) for s in split], n, cap)
+                    shared = [[rows[ord(i)] for i in x] for x in queue]
                     assert (shared, capped) == ([[fresh.row_of_id[ord(i)] for i in x] for x in fresh.packed], fresh.capped)
                     outcomes.add(fresh.capped)
-            assert all(t.rows is first.rows and t.ids is first.ids for t in rest)
-            assert first.rows[:n] == [1 << i for i in range(n)]
+            assert analysis.space is space and steps is analysis.steps and len(images) == len(a.alphabet)
+            assert rows[:n] == [1 << i for i in range(n)] and ids == {r: i for i, r in enumerate(rows)}
+            assert all(image == [ids[step(r)] for r in rows[:len(image)]] for step, image in zip(steps, images))
         assert outcomes == {False, True}
 
     def test_elements_built_on_first_access(self):
@@ -473,20 +477,21 @@ class TestFullReport:
         assert range_bound(a) == report.range_bound
         assert tables == []
 
-    def test_each_closure_enumerated_once(self, random_nfas, monkeypatch):
+    @pytest.mark.parametrize("caps", [caps for _, caps, _ in CAP_SETTINGS], ids=[label for label, _, _ in CAP_SETTINGS])
+    def test_each_closure_enumerated_once(self, caps, random_nfas, monkeypatch):
         # all-but-one closes every singleton before the split search asks for it,
-        # so no generator tuple of a report is enumerated a second time
-        calls: list[tuple[int, ...]] = []
+        # so no split of a report is enumerated a second time, on its one row space
+        calls: list[tuple[int, tuple[int, ...]]] = []
 
-        def recording_closure(tables, n, cap):
-            calls.append(tuple(map(id, tables)))
-            return _closure(tables, n, cap)
+        def recording_closure(space, ks, n, cap):
+            calls.append((id(space), tuple(ks)))
+            return _closure(space, ks, n, cap)
 
         monkeypatch.setattr("detsize.bounds._closure", recording_closure)
         for a in random_nfas:
             calls.clear()
-            full_report(a, monoid_cap=100_000, range_cap=20)
-            assert len(calls) == len(set(calls)), a
+            full_report(a, **caps)
+            assert len(calls) == len(set(calls)) and len({space for space, _ in calls}) <= 1, a
 
     def test_caps_checked_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -549,6 +554,7 @@ class TestTablesPayForThemselves:
     every user, reach 2**(n - _PAYBACK); then its image table replaces the step."""
 
     SPARSE16 = gen_random(RandomNfaSpec(n=16, alphabet_size=3, density=0.15, seed=1))
+    MOORE12 = gen_moore(12)
 
     @pytest.fixture(scope="class")
     def inputs(self, random_nfas):
@@ -578,13 +584,27 @@ class TestTablesPayForThemselves:
         assert subset_construct(gen_moore(16)).n == 2**16
         assert sorted(map(id, built)) == sorted(set(map(id, built))) and len(built) == 2
 
-    def test_renting_steps_leave_no_cycle(self):
-        # a renting step holds its step list weakly, so a report still renting
-        # when it ends is freed at once, not left to the cyclic collector
+    @pytest.mark.parametrize(
+        "user",
+        [
+            lambda a: full_report(a, monoid_cap=10_000),
+            subset_complexity,
+            lambda a: all_but_one_bound(a, "a"),
+            monoid_bound,
+            subset_construct,
+            universality_witness,
+            lambda a: distinguishing_word(a, TestTablesPayForThemselves.MOORE12),
+        ],
+        ids=["full_report", "subset_complexity", "all_but_one_bound", "monoid_bound", "subset_construct",
+             "universality_witness", "distinguishing_word"],
+    )
+    def test_renting_steps_leave_no_cycle(self, user):
+        # a renting step holds its step list weakly, so a user of the steps
+        # still renting when it ends is freed at once, not left to the cyclic collector
         gc.collect()
         gc.disable()
         try:
-            full_report(self.SPARSE16, monoid_cap=10_000)
+            user(self.SPARSE16)
             assert gc.collect() == 0
         finally:
             gc.enable()

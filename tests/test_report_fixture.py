@@ -3,8 +3,11 @@ a fixture captured once from a reference build of the library.
 
 The fixture holds one compact JSON report per line, for every automaton of
 ``build_random_nfas()`` plus ``build_families()`` under each cap setting in
-``CAP_SETTINGS``. The low monoid caps make closures cap early, so a later query
-with a larger cap for the same split must recompute rather than reuse.
+``CAP_SETTINGS``. The low monoid caps make closures cap early, which takes the
+split search and the all-but-one ceiling through their capped paths. A report
+asks for each split's closure once, so none is recomputed at a larger cap;
+``test_bounds.py::TestFullReport::test_each_closure_enumerated_once`` checks
+that under each of these caps, recording each ``_closure(space, ks, n, cap)`` call.
 
 To recapture (only when a report is meant to change), run from the repo root:
 

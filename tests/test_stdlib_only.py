@@ -1,5 +1,6 @@
 """The package is standard-library-only: every import in ``src/detsize`` is
-relative or names a standard-library module."""
+relative or names a standard-library module. Every module-level import of a
+module (other than the package's ``__init__`` and ``__main__``) is used."""
 
 from __future__ import annotations
 
@@ -30,3 +31,20 @@ def test_sources_found():
 def test_imports_are_relative_or_stdlib(path):
     outside = [name for name in _absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("__init__.py", "__main__.py")], ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert _unused_imports(path) == []

@@ -92,7 +92,9 @@ class BoolMatrix:
         successor of the subset encoded by v."""
         if v < 0 or v >> self.n:
             raise ValueError("vector bits outside matrix dimension")
-        rows, acc = self.rows, 0
+        rows, low = self.rows, v & -v
+        acc = rows[low.bit_length() - 1] if v else 0  # a one-member subset maps to its row itself, not a copy
+        v ^= low
         while v:
             low = v & -v
             acc |= rows[low.bit_length() - 1]
@@ -107,14 +109,15 @@ class BoolMatrix:
 
 
 def transition_matrices(a: Fsa) -> dict[str, BoolMatrix]:
-    """One Boolean matrix per symbol; entry (i, j) is set iff state i steps to
-    state j on that symbol. The automaton must be epsilon-free."""
+    """One Boolean matrix per symbol; entry (i, j) is set iff state i steps to state j on that symbol. The
+    automaton must be epsilon-free. All rows whose one successor is j are one int, so a wide DFA holds one per target."""
     if a.has_epsilon:
         raise ValueError("automaton has epsilon transitions; remove them first")
     idx = a.state_index
-    rows = {sym: [0] * a.n for sym in a.alphabet}
+    rows, unit = {sym: [0] * a.n for sym in a.alphabet}, {}  # unit: the one row object of each target met
     for src, sym, dst in a.transitions:
-        rows[sym][idx[src]] |= 1 << idx[dst]
+        row, i, bit = rows[sym], idx[src], unit.get(dst) or unit.setdefault(dst, 1 << idx[dst])
+        row[i] = row[i] | bit if row[i] else bit
     return {sym: BoolMatrix(a.n, tuple(r)) for sym, r in rows.items()}
 
 

@@ -7,8 +7,10 @@ parse error, 3 subset-construction blow-up abort.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
+from typing import Iterable, Iterator
 
 from .boolmat import DEFAULT_RANGE_CAP
 from .bounds import DEFAULT_MONOID_CAP, full_report, render_report_text, report_to_json
@@ -117,12 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, text: str) -> None:
+def _write(args, chunks: Iterable[str]) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a reader that closed stdout early shows here, not at exit
+        except BrokenPipeError:  # the rest goes to devnull, as the Python docs advise; the exit status stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load(args, path: str) -> Fsa:
@@ -142,12 +148,12 @@ def _gen_random(args) -> Fsa:
 
 
 def _cmd_gen(args) -> int:
-    _write(args, serialize_fsa(args.make(args)))
+    _write(args, [serialize_fsa(args.make(args))])
     return EXIT_OK
 
 
-def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, str]:
-    """State count and ``serialize_fsa`` text of ``subset_to_dfa(s)``, or of its ``minimize`` when
+def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, Iterator[str]]:
+    """State count and ``serialize_fsa`` text, in chunks, of ``subset_to_dfa(s)``, or of its ``minimize`` when
     ``minimal``, with no named ``Fsa``. Each state has a line per symbol, so first use is sorted order."""
     table = _minimal_table(s.transitions, s.final_flags, 0) if minimal else None
     names, rows, final_flags = table or (s.names, s.transitions, s.final_flags)
@@ -159,16 +165,15 @@ def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, str]:
 
 
 def _cmd_determinize(args) -> int:
-    a = _load(args, args.input)
-    n, text = _dfa_text(subset_construct(a, args.max_states), args.command == "minimize")
+    n, chunks = _dfa_text(subset_construct(_load(args, args.input), args.max_states), args.command == "minimize")
     print(n, file=sys.stderr)
-    _write(args, text)
+    _write(args, chunks)
     return EXIT_OK
 
 
 def _cmd_state_complexity(args) -> int:
     a = _load(args, args.input)
-    _write(args, f"{state_complexity(a, args.max_states)}\n")
+    _write(args, [f"{state_complexity(a, args.max_states)}\n"])
     return EXIT_OK
 
 
@@ -176,15 +181,15 @@ def _cmd_bounds(args) -> int:
     a = _load(args, args.input)
     report = full_report(a, args.monoid_cap, args.range_cap, args.max_states)
     text = report_to_json(report) if args.format == "tree" else render_report_text(report)
-    _write(args, text)
+    _write(args, [text])
     return EXIT_OK
 
 
 def _verdict(args, verdict: str, witness: tuple[str, ...] | None) -> int:
     if witness is None:
-        _write(args, f"{verdict}\n")
+        _write(args, [f"{verdict}\n"])
         return EXIT_OK
-    _write(args, f"not {verdict}: {' '.join(witness) or EPSILON}\n")
+    _write(args, [f"not {verdict}: {' '.join(witness) or EPSILON}\n"])
     return EXIT_NEGATIVE
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 EPSILON = "<eps>"
 
@@ -221,19 +222,20 @@ def serialize_fsa(a: Fsa) -> str:
     edges = sorted((idx[src], sym, idx[dst]) for src, sym, dst in a.transitions)
     first_use = tuple(sym for sym in dict.fromkeys(sym for _, sym, _ in edges) if sym != EPSILON)
     initial, final = (sorted(idx[q] for q in group) for group in (a.initial, a.final))
-    return _text(a.alphabet, first_use != a.alphabet, a.states, edges, initial, final)
+    return "".join(_text(a.alphabet, first_use != a.alphabet, a.states, edges, initial, final))
 
 
-def _text(alphabet: tuple[str, ...], pinned: bool, names, edges, initial, final) -> str:
+def _text(alphabet: tuple[str, ...], pinned: bool, names, edges, initial, final) -> Iterator[str]:
     """The one writer of the text format: an ``@alphabet`` line when ``pinned``, a line per
     (source index, symbol, target index) of ``edges`` in order, then the ``@initial`` and
-    ``@final`` lines of the indices in ``initial`` and ``final``; state i is ``names[i]``."""
+    ``@final`` lines of the indices in ``initial`` and ``final``; state i is ``names[i]``. The text
+    comes in chunks of at most 4,096 lines as it is made, so a caller that writes each one never holds it whole."""
     label = {sym: f" {sym} " for sym in (*alphabet, EPSILON)}
-    lines = ["@alphabet" + "".join(" " + sym for sym in alphabet)] if pinned else []
-    lines += [names[i] + label[sym] + names[j] for i, sym, j in edges]
-    lines += ["@initial " + names[i] for i in initial]
-    lines += ["@final " + names[i] for i in final]
-    return "\n".join([*lines, ""])
+    yield "@alphabet" + "".join(" " + sym for sym in alphabet) + "\n" if pinned else ""
+    edges = iter(edges)
+    while lines := [names[i] + label[sym] + names[j] for i, sym, j in islice(edges, 4096)]:
+        yield "\n".join([*lines, ""])
+    yield "".join(["@initial " + names[i] + "\n" for i in initial] + ["@final " + names[i] + "\n" for i in final])
 
 
 def _adjacency(a: Fsa) -> dict[str, dict[str, set[str]]]:

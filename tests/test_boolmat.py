@@ -19,6 +19,7 @@ from detsize.boolmat import (
     strongly_connected_components,
     transition_matrices,
 )
+from detsize.determinize import subset_construct, subset_to_dfa
 from detsize.fsa import EPSILON, Fsa
 from detsize.generators import gen_moore
 
@@ -409,3 +410,13 @@ class TestTransitionMatrices:
         a = Fsa.make([("q0", EPSILON, "q1")], ["q0"], ["q1"])
         with pytest.raises(ValueError):
             transition_matrices(a)
+
+    def test_rows_with_one_successor_share_one_int(self):
+        """A DFA's matrices hold one row object per target, and a one-member subset steps to that object itself."""
+        mats = transition_matrices(subset_to_dfa(subset_construct(gen_moore(8))))
+        rows = [r for m in mats.values() for r in m.rows if r]
+        assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+        for m in mats.values():
+            for i, r in enumerate(m.rows):
+                if r:
+                    assert m.apply(1 << i) is r

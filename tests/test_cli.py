@@ -11,7 +11,7 @@ import pytest
 import detsize
 from detsize.boolmat import MAX_RANGE_CAP
 from detsize.bounds import full_report, render_report_text, report_from_dict, report_from_json, report_to_dict
-from detsize.cli import _build_parser, main
+from detsize.cli import _build_parser, _dfa_text, main
 from detsize.determinize import minimize, subset_construct, subset_to_dfa
 from detsize.fsa import Fsa, accepts, parse_fsa, serialize_fsa
 from detsize.generators import (
@@ -27,10 +27,14 @@ from conftest import build_families, build_random_nfas
 from oracles import text_by_format_rules
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child process that imports this package, with ``extra`` set."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(detsize.__file__)), **extra)
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``python -m detsize`` in a child process that imports this package."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(detsize.__file__)))
-    return subprocess.run([sys.executable, "-m", "detsize", *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "detsize", *args], capture_output=True, text=True, env=child_env())
 
 
 def write(tmp_path, name, automaton) -> str:
@@ -206,6 +210,57 @@ class TestDeterminize:
         assert main(["determinize", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"1\nerror: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+    def test_blow_up_writes_no_out_file(self, tmp_path):
+        out = tmp_path / "p"
+        result = run_cli("determinize", write(tmp_path, "m12.fsa", gen_moore(12)), "--max-states", "10", "--out", str(out))
+        assert result.returncode == 3
+        assert result.stderr == "blow-up abort: 10 states found\n"
+        assert not out.exists()
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        result = run_cli("determinize", write(tmp_path, "m12.fsa", gen_moore(12)), "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("4096\nerror: ")
+        assert "Traceback" not in result.stderr
+
+    def test_text_comes_in_chunks(self):
+        s = subset_construct(gen_moore(12))
+        n, chunks = _dfa_text(s, False)
+        chunks = list(chunks)
+        text = "".join(chunks)
+        assert n == 4096
+        assert text == serialize_fsa(subset_to_dfa(s))
+        lines = [chunk.count("\n") for chunk in chunks if chunk]
+        assert all(chunk.endswith("\n") for chunk in chunks if chunk)  # whole lines only
+        assert 1 < len(lines) and max(lines) <= sum(lines) // 2
+
+    # a buffered stdout raises EPIPE only when flushed, an unbuffered one at once
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_stdout_early_ends_output_quietly(self, tmp_path, unbuffered):
+        """The text is written in chunks; a reader that leaves after 100 bytes causes no error message and exit 0."""
+        env = child_env(PYTHONUNBUFFERED=unbuffered)
+        cmd = [sys.executable, "-m", "detsize", "determinize", write(tmp_path, "m12.fsa", gen_moore(12))]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0
+        assert err == b"4096\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_stdout_without_reader_keeps_the_verdict(self, tmp_path, unbuffered):
+        """Output lost to a closed stdout does not change the exit status: 1 still means "not universal"."""
+        env = child_env(PYTHONUNBUFFERED=unbuffered)
+        cmd = [sys.executable, "-m", "detsize", "universal", write(tmp_path, "m3.fsa", gen_moore(3))]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""
 
 
 class TestMinimize:

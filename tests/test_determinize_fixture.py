@@ -64,8 +64,8 @@ def _answers(a, b) -> dict:
         "distinguishing_word_next": _word(distinguishing_word(a, b)),
         "determinize_sha256": _sha256(serialize_fsa(dfa)),
         # not written to the fixture
-        "cli_determinize_sha256": _sha256(_dfa_text(s, False)[1]),
-        "cli_minimize_sha256": _sha256(_dfa_text(s, True)[1]),
+        "cli_determinize_sha256": _sha256("".join(_dfa_text(s, False)[1])),
+        "cli_minimize_sha256": _sha256("".join(_dfa_text(s, True)[1])),
     }
 
 

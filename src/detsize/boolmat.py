@@ -158,12 +158,14 @@ def _range_size(m: BoolMatrix, cap: int) -> int:
     so the work is the sum of the component range sizes. Raises
     RangeCapExceeded, before any enumeration, for a component wider than ``cap``."""
     parts: dict[int, list[int]] = {}  # support -> rows; supports are disjoint
+    union = 0  # of the supports: a row that misses it starts a part of its own, with no scan of the parts
     for r in dict.fromkeys(m.rows):
         rows = [r]
-        for s in [s for s in parts if s & r]:
+        for s in [s for s in parts if s & r] if r & union else ():
             r |= s
             rows += parts.pop(s)
         parts[r] = rows
+        union |= r
     widest = max(map(int.bit_count, parts), default=0)
     if widest > cap:
         raise RangeCapExceeded(widest, cap, "row component width")

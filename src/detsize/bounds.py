@@ -5,6 +5,7 @@ sandwich, and the all-but-one bound."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -215,16 +216,23 @@ class _Analysis:
         assert best is not None
         return best, witness
 
-    def all_but_one(self, target: str) -> tuple[int, int]:
+    def certified(self, target: str) -> int:
+        """The subset-complexity term at split {target}, with the ceiling substituted for a monoid size that caps."""
         ceiling = self.ceiling(target)
-        # the certified bound is the subset-complexity term at split {target},
-        # with the ceiling substituted for a monoid size that caps
-        factor = self.factor((target,))
         size = self.monoid_size((target,), min(self.monoid_cap, ceiling + 1))
-        certified = factor * (ceiling if size is None else min(size, ceiling))
-        ranks = [r for sym, r in self.ranks.items() if sym != target]
-        worst = max((2 ** (-(-r * r // 4) + DEFAULT_ESTIMATE_CONSTANT * r) for r in ranks), default=1)
-        return certified, len(self.a.alphabet) * (self.cyclicities[target] + self.a.n**2) * worst
+        return self.factor((target,)) * (ceiling if size is None else min(size, ceiling))
+
+    def estimate(self, target: str) -> int | None:
+        """sigma * (c + n**2) << e, e the top ceil(r * r / 4) + C * r of the other ranks r; None if str() refuses it."""
+        e = max([-(-r * r // 4) + DEFAULT_ESTIMATE_CONSTANT * r for s, r in self.ranks.items() if s != target] + [0])
+        if 0 < 4 * getattr(sys, "get_int_max_str_digits", lambda: 0)() < e:  # 2**e alone is too long: refused unbuilt
+            return None
+        estimate = len(self.a.alphabet) * (self.cyclicities[target] + self.a.n**2) << e
+        try:
+            str(estimate)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return None
+        return estimate
 
 
 def monoid_bound(a: Fsa, cap: int = DEFAULT_MONOID_CAP) -> int | None:
@@ -290,7 +298,7 @@ def all_but_one_bound(
     target: str,
     monoid_cap: int = DEFAULT_MONOID_CAP,
     range_cap: int = DEFAULT_RANGE_CAP,
-) -> tuple[int, int]:
+) -> tuple[int, int | None]:
     """(certified, estimate) bounds that single out one target symbol.
 
     certified: (1 + sum of range sizes over the other symbols) times the
@@ -301,12 +309,13 @@ def all_but_one_bound(
 
     estimate: |alphabet| * (c + n**2) * max over other symbols of
     2**(ceil(rank**2 / 4) + C * rank), the asymptotic shape of the bound with
-    the fixed constant C = DEFAULT_ESTIMATE_CONSTANT. It is reported for
-    guidance and never asserted.
+    the fixed constant C = DEFAULT_ESTIMATE_CONSTANT, reported for guidance and
+    never asserted; None, as in full_report, when too long for str() to write.
     """
     if target not in a.alphabet:
         raise ValueError(f"unknown target symbol {target!r}")
-    return _Analysis(a, range_cap, monoid_cap).all_but_one(target)
+    analysis = _Analysis(a, range_cap, monoid_cap)
+    return analysis.certified(target), analysis.estimate(target)
 
 
 @dataclass(frozen=True)
@@ -371,16 +380,10 @@ def full_report(
     rbound = sc_value = sc_split = certified = target = estimate = None
     if ranges is not None:
         rbound = analysis.factor(())
-        # all-but-one first: a singleton closure ends complete or capped at monoid_cap, so the split search reuses it
-        for sym in a.alphabet:
-            c, e = analysis.all_but_one(sym)
-            if certified is None or c < certified:
-                certified, target, estimate = c, sym, e
+        if a.alphabet:  # first: the split search reuses these singleton closures, each complete or capped at monoid_cap
+            certified, target = min(zip(map(analysis.certified, a.alphabet), a.alphabet), key=lambda term: term[0])
+            estimate = analysis.estimate(target)
         sc_value, sc_split = analysis.subset_complexity()
-    try:
-        str(estimate)
-    except ValueError:  # past sys.get_int_max_str_digits(): the report could not be written
-        estimate = None
 
     return BoundReport(
         n=a.n,

@@ -180,7 +180,13 @@ def _cmd_state_complexity(args) -> int:
 def _cmd_bounds(args) -> int:
     a = _load(args, args.input)
     report = full_report(a, args.monoid_cap, args.range_cap, args.max_states)
-    text = report_to_json(report) if args.format == "tree" else render_report_text(report)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)  # exact values are written whole; full_report has held the estimate to the limit already
+    try:
+        text = report_to_json(report) if args.format == "tree" else render_report_text(report)
+    finally:
+        set_limit(limit)
     _write(args, [text])
     return EXIT_OK
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from detsize.fsa import Fsa
@@ -25,6 +27,14 @@ def two_state_universal() -> Fsa:
         initial=["u0"],
         final=["u0", "u1"],
     )
+
+
+def cycle_and_identity(k: int) -> Fsa:
+    """``a`` walks a k-cycle and ``b`` fixes every state: both matrices have GF(2) rank k, so the all-but-one
+    estimate is 2 * (c + k**2) << ceil(k**2 / 4) + 2k for c = 1 or k, 6,960 digits at k = 300."""
+    names = [f"c{i}" for i in range(k)]
+    return Fsa.make([(q, "a", names[(i + 1) % k]) for i, q in enumerate(names)] + [(q, "b", q) for q in names],
+                    names[:1], names[:1])
 
 
 def build_random_nfas(count: int = 1000) -> list[Fsa]:
@@ -128,3 +138,14 @@ def codeterministic_nfas() -> list[Fsa]:
 @pytest.fixture(scope="session")
 def family_nfas() -> list[Fsa]:
     return build_families()
+
+
+@pytest.fixture
+def int_str_limit():
+    """``sys.set_int_max_str_digits`` for one test, the limit restored after it; skips before Python 3.10.7,
+    which has no int-to-str limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str limit before Python 3.10.7")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)

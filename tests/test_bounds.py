@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,7 @@ from detsize.generators import (
     gen_universal,
 )
 
+from conftest import cycle_and_identity
 from oracles import powers_closure, relation_closure
 from test_report_fixture import CAP_SETTINGS
 
@@ -362,6 +364,40 @@ class TestAllButOne:
             for sym in a.alphabet:
                 certified, _ = all_but_one_bound(a, sym)
                 assert certified >= ss
+
+    CYCLE300 = cycle_and_identity(300)
+
+    def estimates(self) -> tuple[int | None, int | None]:
+        report = full_report(self.CYCLE300)
+        return report.all_but_one_estimate, all_but_one_bound(self.CYCLE300, report.all_but_one_target)[1]
+
+    def test_estimate_at_the_int_to_str_limit(self, int_str_limit):
+        int_str_limit(6_960)
+        report, bound = self.estimates()
+        assert report == bound and len(str(report)) == 6_960
+        int_str_limit(6_959)  # refused by the str() probe
+        assert self.estimates() == (None, None)
+
+    def test_estimate_far_past_the_limit_is_refused_unbuilt(self, int_str_limit):
+        analysis = _Analysis(self.CYCLE300)
+        int_str_limit(640)  # e = 23,100 is over 4 * 640, so 2**e alone has too many digits
+        tracemalloc.start()
+        try:
+            assert analysis.estimate("b") is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 23_118 // 8  # the bytes of the 23,118-bit value it would have built
+        assert self.estimates() == (None, None)
+
+    def test_report_builds_one_estimate(self, monkeypatch, random_nfas):
+        calls = []
+        estimate = _Analysis.estimate
+        monkeypatch.setattr(_Analysis, "estimate", lambda self, target: calls.append(target) or estimate(self, target))
+        for a in [self.CYCLE300, gen_moore(6), gen_modified_moore(5), *random_nfas[:40]]:
+            calls.clear()
+            report = full_report(a, range_cap=4)  # wide enough for the first three, too narrow for 12 of the rest
+            assert calls == ([] if report.range_bound is None else [report.all_but_one_target])
 
 
 class TestFullReport:

@@ -10,7 +10,14 @@ import pytest
 
 import detsize
 from detsize.boolmat import MAX_RANGE_CAP
-from detsize.bounds import full_report, render_report_text, report_from_dict, report_from_json, report_to_dict
+from detsize.bounds import (
+    all_but_one_bound,
+    full_report,
+    render_report_text,
+    report_from_dict,
+    report_from_json,
+    report_to_dict,
+)
 from detsize.cli import _build_parser, _dfa_text, main
 from detsize.determinize import minimize, subset_construct, subset_to_dfa
 from detsize.fsa import Fsa, accepts, parse_fsa, serialize_fsa
@@ -23,7 +30,7 @@ from detsize.generators import (
     gen_universal,
 )
 
-from conftest import build_families, build_random_nfas
+from conftest import build_families, build_random_nfas, cycle_and_identity
 from oracles import text_by_format_rules
 
 
@@ -396,12 +403,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("fmt", ["text", "tree"])
     def test_estimate_too_long_to_write_degrades_alone(self, fmt, tmp_path):
-        # a is a 300-cycle and b the identity: both have GF(2) rank 300, so the
-        # all-but-one estimate has 6,960 digits, past the default int-to-str limit
+        # the all-but-one estimate has 6,960 digits, past the default int-to-str limit
         k = 300
-        names = [f"c{i}" for i in range(k)]
-        cycle = Fsa.make([(q, "a", names[(i + 1) % k]) for i, q in enumerate(names)] + [(q, "b", q) for q in names],
-                         names[:1], names[:1])
+        cycle = cycle_and_identity(k)
         result = run_cli("bounds", write(tmp_path, "cycle.fsa", cycle), "--format", fmt)
         assert (result.returncode, result.stderr) == (0, "")
         report = full_report(cycle)
@@ -409,11 +413,30 @@ class TestBounds:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
         too_long = 0 < limit < 6_960
         assert (report.all_but_one_estimate is None) == too_long
+        assert all_but_one_bound(cycle, report.all_but_one_target)[1] == report.all_but_one_estimate
         if fmt == "text":
             assert result.stdout == render_report_text(report)
             assert ("all_but_one_estimate: unavailable\n" in result.stdout) == too_long
         else:
             assert report_from_json(result.stdout) == report
+
+    A_CYCLE2200 = Fsa.make([(f"c{i}", "a", f"c{(i + 1) % 2200}") for i in range(2200)], ["c0"], ["c0"])
+    RANGE_LINE = f"range_bound: {2**2200 + 1}\n"  # 663 digits
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7")
+    def test_exact_values_are_written_past_the_int_to_str_limit(self, tmp_path):
+        path = write(tmp_path, "cycle.fsa", self.A_CYCLE2200)
+        result = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "detsize", "bounds", path,
+                                 "--monoid-cap", "50"], capture_output=True, text=True, env=child_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert self.RANGE_LINE in result.stdout
+
+    def test_in_process_run_keeps_the_int_to_str_limit(self, int_str_limit, tmp_path, capsys):
+        path = write(tmp_path, "cycle.fsa", self.A_CYCLE2200)
+        int_str_limit(640)
+        assert main(["bounds", path, "--monoid-cap", "50"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+        assert self.RANGE_LINE in capsys.readouterr().out
 
     @pytest.mark.parametrize("option, name", [("--monoid-cap", "monoid_cap"), ("--max-states", "max_states")])
     def test_cap_below_one_is_usage_error(self, option, name, tmp_path):

@@ -12,8 +12,6 @@ import sys
 from dataclasses import fields
 from typing import Iterable, Iterator
 
-from .boolmat import DEFAULT_RANGE_CAP
-from .bounds import DEFAULT_MONOID_CAP, full_report, render_report_text, report_to_json
 from .determinize import (
     DEFAULT_MAX_STATES,
     BlowUpError,
@@ -25,16 +23,6 @@ from .determinize import (
     universality_witness,
 )
 from .fsa import EPSILON, Fsa, _text, parse_fsa, remove_epsilon, serialize_fsa
-from .generators import (
-    RandomNfaSpec,
-    gen_meyer_fischer,
-    gen_mf_gadget,
-    gen_modified_moore,
-    gen_moore,
-    gen_random,
-    gen_union_gadget,
-    gen_universal,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -71,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
         _out_option(p)
         return p
 
-    family("universal", lambda args: gen_universal())
-    for name, make in (("moore", gen_moore), ("mf", gen_meyer_fischer), ("moore-mod", gen_modified_moore)):
-        family(name, lambda args, make=make: make(args.n)).add_argument("--n", type=int, required=True)
+    # a family's make takes the generators module, which only gen loads
+    family("universal", lambda g, args: g.gen_universal())
+    for name, make in (("moore", "gen_moore"), ("mf", "gen_meyer_fischer"), ("moore-mod", "gen_modified_moore")):
+        family(name, lambda g, args, make=make: getattr(g, make)(args.n)).add_argument("--n", type=int, required=True)
     # each dest is a RandomNfaSpec field; an option left out keeps the spec's default
     p = family("random", _gen_random)
     p.argument_default = argparse.SUPPRESS
@@ -85,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("trim", "total", "codeterministic"):
         p.add_argument(f"--{flag}", dest=f"force_{flag}", action="store_true")
     for name, make in (
-        ("gadget-union", lambda args: gen_union_gadget(_load(args, args.base))),
-        ("gadget-mf", lambda args: gen_mf_gadget(_load(args, args.base), args.t)),
+        ("gadget-union", lambda g, args: g.gen_union_gadget(_load(args, args.base))),
+        ("gadget-mf", lambda g, args: g.gen_mf_gadget(_load(args, args.base), args.t)),
     ):
         p = family(name, make)
         p.add_argument("--base", metavar="PATH", required=True, help="base automaton")
@@ -113,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         _eps_option(p)
         p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
         if name == "bounds":
-            p.add_argument("--monoid-cap", type=int, default=DEFAULT_MONOID_CAP)
-            p.add_argument("--range-cap", type=int, default=DEFAULT_RANGE_CAP)
+            # the caps are full_report's keyword arguments: one left out takes its default there
+            p.add_argument("--monoid-cap", type=int, default=argparse.SUPPRESS)
+            p.add_argument("--range-cap", type=int, default=argparse.SUPPRESS)
             p.add_argument("--format", choices=("text", "tree"), default="text")
     return parser
 
@@ -141,14 +131,16 @@ def _load(args, path: str) -> Fsa:
     return a
 
 
-def _gen_random(args) -> Fsa:
+def _gen_random(g, args) -> Fsa:
     given = vars(args)
-    spec = RandomNfaSpec(**{f.name: given[f.name] for f in fields(RandomNfaSpec) if f.name in given})
-    return gen_random(spec)
+    spec = g.RandomNfaSpec(**{f.name: given[f.name] for f in fields(g.RandomNfaSpec) if f.name in given})
+    return g.gen_random(spec)
 
 
 def _cmd_gen(args) -> int:
-    _write(args, [serialize_fsa(args.make(args))])
+    from . import generators
+
+    _write(args, [serialize_fsa(args.make(generators, args))])
     return EXIT_OK
 
 
@@ -178,8 +170,10 @@ def _cmd_state_complexity(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import full_report, render_report_text, report_to_json
+
     a = _load(args, args.input)
-    report = full_report(a, args.monoid_cap, args.range_cap, args.max_states)
+    report = full_report(a, **{k: v for k, v in vars(args).items() if k in ("monoid_cap", "range_cap", "max_states")})
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
     set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     set_limit(0)  # exact values are written whole; full_report has held the estimate to the limit already

@@ -41,9 +41,7 @@ class BlowUpError(RuntimeError):
     def __init__(self, states_found: int, max_states: int):
         self.states_found = states_found
         self.max_states = max_states
-        super().__init__(
-            f"subset construction aborted: {states_found} states found, cap is {max_states}"
-        )
+        super().__init__(f"subset construction aborted: {states_found} states found, cap is {max_states}")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,13 @@ def _require(name: str, value: int, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be at most {high}")
 
 
+def _refuse_str(*collections) -> None:
+    """ValueError for a bare string among the five collections of an ``Fsa``, in field order: it reads as letters."""
+    for name, value in zip(("alphabet", "states", "initial", "final", "transitions"), collections):
+        if type(value) is str:
+            raise ValueError(f"{name} must be a collection, not the string {value!r}")
+
+
 def _valid_symbol(sym: str) -> bool:
     return isinstance(sym, str) and sym.split() == [sym] and sym != EPSILON
 
@@ -78,6 +85,8 @@ class Fsa:
     transitions: frozenset[tuple[str, str, str]] = frozenset()
 
     def __post_init__(self):
+        if str in map(type, (self.alphabet, self.states, self.initial, self.final, self.transitions)):  # inline: fast
+            _refuse_str(self.alphabet, self.states, self.initial, self.final, self.transitions)
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "initial", frozenset(self.initial))
@@ -122,6 +131,7 @@ class Fsa:
         ``states``, then the transition endpoints and the initial and final
         states it does not list; ``alphabet``, then the other transition
         symbols. A name repeated in ``states`` or ``alphabet`` is refused."""
+        _refuse_str(alphabet, states, initial, final, transitions)
         transitions = [tuple(t) for t in transitions]
         initial = list(initial)
         final = list(final)

@@ -26,13 +26,7 @@ __all__ = [
 def gen_universal() -> Fsa:
     """The 1-state DFA over {a, b} accepting every word: one state, both
     initial and final, with a self-loop on each symbol."""
-    return Fsa(
-        alphabet=("a", "b"),
-        states=("q",),
-        initial=frozenset({"q"}),
-        final=frozenset({"q"}),
-        transitions=frozenset({("q", "a", "q"), ("q", "b", "q")}),
-    )
+    return Fsa(("a", "b"), ("q",), {"q"}, {"q"}, {("q", "a", "q"), ("q", "b", "q")})
 
 
 def gen_moore(n: int) -> Fsa:
@@ -41,13 +35,9 @@ def gen_moore(n: int) -> Fsa:
     nondeterministic a-edges from qn back to q1 and q2."""
     _require("n", n, 2)
     states = tuple(f"q{i}" for i in range(1, n + 1))
-    trans = {("q1", "b", "q1"), ("q1", "a", "q2")}
-    for i in range(2, n):
-        trans.add((f"q{i}", "a", f"q{i + 1}"))
-        trans.add((f"q{i}", "b", f"q{i + 1}"))
-    trans.add((f"q{n}", "a", "q1"))
-    trans.add((f"q{n}", "a", "q2"))
-    return Fsa(("a", "b"), states, frozenset({"q1"}), frozenset({f"q{n}"}), frozenset(trans))
+    trans = {("q1", "b", "q1"), ("q1", "a", "q2"), (f"q{n}", "a", "q1"), (f"q{n}", "a", "q2")}
+    trans.update((f"q{i}", sym, f"q{i + 1}") for i in range(2, n) for sym in ("a", "b"))
+    return Fsa(("a", "b"), states, {"q1"}, {f"q{n}"}, trans)
 
 
 def gen_meyer_fischer(n: int) -> Fsa:
@@ -58,13 +48,9 @@ def gen_meyer_fischer(n: int) -> Fsa:
     subset reachable and the full 2**n count attainable."""
     _require("n", n, 2)
     states = tuple(f"p{i}" for i in range(1, n + 1))
-    trans = set()
-    for i in range(1, n + 1):
-        trans.add((f"p{i}", "a", f"p{i % n + 1}"))
-    for i in range(2, n + 1):
-        trans.add((f"p{i}", "b", f"p{i}"))
-        trans.add((f"p{i}", "b", "p1"))
-    return Fsa(("a", "b"), states, frozenset({"p1"}), frozenset({"p1"}), frozenset(trans))
+    trans = {(f"p{i}", "a", f"p{i % n + 1}") for i in range(1, n + 1)}
+    trans.update((f"p{i}", "b", dst) for i in range(2, n + 1) for dst in (f"p{i}", "p1"))
+    return Fsa(("a", "b"), states, {"p1"}, {"p1"}, trans)
 
 
 def gen_modified_moore(n: int) -> Fsa:
@@ -72,12 +58,9 @@ def gen_modified_moore(n: int) -> Fsa:
     symbol c, leaving a as a bare shift; over {a, b, c} the determinization
     becomes polynomial."""
     base = gen_moore(n)
-    trans = set(base.transitions)
-    trans.discard((f"q{n}", "a", "q1"))
-    trans.discard((f"q{n}", "a", "q2"))
-    trans.add((f"q{n}", "c", "q1"))
-    trans.add((f"q{n}", "c", "q2"))
-    return Fsa(("a", "b", "c"), base.states, base.initial, base.final, frozenset(trans))
+    back = {(f"q{n}", "a", "q1"), (f"q{n}", "a", "q2")}
+    trans = base.transitions - back | {(src, "c", dst) for src, _, dst in back}
+    return Fsa(("a", "b", "c"), base.states, base.initial, base.final, trans)
 
 
 def _require_ab(a: Fsa) -> None:

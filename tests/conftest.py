@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
+import detsize
 from detsize.fsa import Fsa
 from detsize.generators import (
     RandomNfaSpec,
@@ -19,6 +21,11 @@ from detsize.generators import (
 )
 
 _DENSITIES = (0.1, 0.2, 0.3, 0.45, 0.6)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child process that imports this package, with ``extra`` set."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(detsize.__file__)), **extra)
 
 
 def two_state_universal() -> Fsa:

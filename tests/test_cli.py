@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-import detsize
-from detsize.boolmat import MAX_RANGE_CAP
+from detsize.boolmat import DEFAULT_RANGE_CAP, MAX_RANGE_CAP
 from detsize.bounds import (
+    DEFAULT_MONOID_CAP,
     all_but_one_bound,
     full_report,
     render_report_text,
@@ -19,7 +19,7 @@ from detsize.bounds import (
     report_to_dict,
 )
 from detsize.cli import _build_parser, _dfa_text, main
-from detsize.determinize import minimize, subset_construct, subset_to_dfa
+from detsize.determinize import DEFAULT_MAX_STATES, minimize, subset_construct, subset_to_dfa
 from detsize.fsa import Fsa, accepts, parse_fsa, serialize_fsa
 from detsize.generators import (
     RandomNfaSpec,
@@ -30,13 +30,8 @@ from detsize.generators import (
     gen_universal,
 )
 
-from conftest import build_families, build_random_nfas, cycle_and_identity
+from conftest import build_families, build_random_nfas, child_env, cycle_and_identity
 from oracles import text_by_format_rules
-
-
-def child_env(**extra: str) -> dict[str, str]:
-    """The environment of a child process that imports this package, with ``extra`` set."""
-    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(detsize.__file__)), **extra)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -387,6 +382,16 @@ class TestBounds:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    def test_cap_defaults(self, tmp_path, capsys):
+        # each default comes from its library constant alone; README states the same values
+        assert main(["bounds", write(tmp_path, "one.fsa", Fsa.make([("q", "a", "q")], ["q"], ["q"])),
+                     "--format", "tree"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        caps = {field: tree[field]["cap"] for field in ("subset_size", "monoid_bound", "range_bound")}
+        assert caps == {"subset_size": DEFAULT_MAX_STATES, "monoid_bound": DEFAULT_MONOID_CAP,
+                        "range_bound": DEFAULT_RANGE_CAP}
+        assert caps == {"subset_size": 2**20, "monoid_bound": 100_000, "range_bound": 20}
+
     def test_large_alphabet_keeps_other_fields(self, tmp_path):
         path = tmp_path / "wide.fsa"
         path.write_text("".join(f"p {chr(ord('a') + k)} q\n" for k in range(17)) + "q a p\n@initial p\n@final q\n")
@@ -547,3 +552,34 @@ class TestEntryPoint:
         result = run_cli("gen", "universal")
         assert result.returncode == 0
         assert result.stdout == "q a q\nq b q\n@initial q\n@final q\n"
+
+    # runs ``python -m detsize ARGS`` in a fresh interpreter and prints the modules it loaded beyond start-up
+    LOADED = (
+        "import runpy, sys; before = set(sys.modules); sys.argv[0] = 'detsize'\n"
+        "try: runpy.run_module('detsize', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit: pass\n"
+        "print(*sorted(set(sys.modules) - before - {'__main__'}))"
+    )
+    NEVER = {"detsize.bounds", "detsize.generators", "json"}
+
+    def loaded(self, *args: str) -> set[str]:
+        result = subprocess.run([sys.executable, "-c", self.LOADED, *args], capture_output=True, text=True,
+                                env=child_env())
+        assert result.stderr in ("", "16\n")
+        return set(result.stdout.split())
+
+    @pytest.mark.parametrize("command", ["state-complexity", "determinize", "minimize", "universal", "equiv"])
+    def test_command_loads_only_what_it_runs(self, command, tmp_path):
+        path = write(tmp_path, "m4.fsa", gen_moore(4))
+        files = [path, path] if command == "equiv" else [path]
+        loaded = self.loaded(command, *files, "--out", os.devnull)
+        assert "detsize.determinize" in loaded
+        assert loaded.isdisjoint(self.NEVER), sorted(loaded & self.NEVER)
+
+    def test_bounds_loads_bounds(self, tmp_path):
+        assert "detsize.bounds" in self.loaded("bounds", write(tmp_path, "m4.fsa", gen_moore(4)), "--out", os.devnull)
+
+    def test_bare_import_loads_no_module(self):
+        result = subprocess.run([sys.executable, "-c", "import sys, detsize; print(*sorted(sys.modules))"],
+                                capture_output=True, text=True, env=child_env())
+        assert [m for m in result.stdout.split() if m.startswith("detsize.")] == []

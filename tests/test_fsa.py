@@ -78,6 +78,16 @@ class TestInvariants:
         with pytest.raises(ValueError, match=message):
             Fsa(**fields)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alphabet", "ab"), ("states", "q"), ("initial", "q1"), ("final", "q1"), ("transitions", "qaq")],
+    )
+    @pytest.mark.parametrize("build", [Fsa, Fsa.make])
+    def test_rejects_bare_string_for_a_collection(self, build, field, value):
+        # read as a collection, "q1" would be the states "q" and "1"
+        with pytest.raises(ValueError, match=f"^{field} must be a collection, not the string '{value}'$"):
+            build(**{field: value})
+
     def test_empty_state_set_is_legal(self):
         a = Fsa(("a",), (), frozenset(), frozenset(), frozenset())
         assert a.n == 0

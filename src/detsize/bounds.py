@@ -201,26 +201,22 @@ class _Analysis:
         """(value, split); (None, None) when the alphabet is too large to enumerate every split."""
         if len(self.a.alphabet) > _MAX_SPLIT_SYMBOLS:
             return None, None
-        best: int | None = None
-        witness: tuple[str, ...] = ()
-        for split in _split_preference(self.a.alphabet):
+        best, witness = self.factor(()), ()  # the empty split's monoid is {identity}: its term is the range bound
+        for split in _split_preference(self.a.alphabet)[1:]:
             factor = self.factor(split)
-            # only a closure with factor * size < best matters, so any
-            # closure that fits under this cap improves on best
-            cap = self.monoid_cap if best is None else min(self.monoid_cap, (best - 1) // factor)
-            if best is not None and cap < 1:
+            cap = min(self.monoid_cap, (best - 1) // factor)  # a larger size cannot improve on best
+            if cap < 1:
                 continue
             size = self.monoid_size(split, cap)
             if size is not None:
                 best, witness = factor * size, split
-        assert best is not None
         return best, witness
 
     def certified(self, target: str) -> int:
         """The subset-complexity term at split {target}, with the ceiling substituted for a monoid size that caps."""
         ceiling = self.ceiling(target)
-        size = self.monoid_size((target,), min(self.monoid_cap, ceiling + 1))
-        return self.factor((target,)) * (ceiling if size is None else min(size, ceiling))
+        size = self.monoid_size((target,), min(self.monoid_cap, ceiling))
+        return self.factor((target,)) * (ceiling if size is None else size)
 
     def estimate(self, target: str) -> int | None:
         """sigma * (c + n**2) << e, e the top ceil(r * r / 4) + C * r of the other ranks r; None if str() refuses it."""
@@ -267,8 +263,8 @@ def subset_complexity(
     an upper bound on the subset automaton size.
 
     All 2**|alphabet| splits are enumerated, so alphabets above 16 symbols
-    raise ValueError; a split whose monoid enumeration caps is excluded from
-    the minimum (the empty split never caps, so a value always exists).
+    raise ValueError. A split whose monoid enumeration caps is left out; the
+    empty split's term is the range bound, since its monoid {identity} never caps.
     Returns the bound and the minimizing split, ties broken by smaller split
     then lexicographic symbol order.
     """

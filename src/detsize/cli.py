@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage or
-parse error, 3 subset-construction blow-up abort.
+parse error, 3 subset-construction blow-up abort or out of memory.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except BlowUpError as exc:
         print(f"blow-up abort: {exc.states_found} states found", file=sys.stderr)
+        return EXIT_BLOWUP
+    except MemoryError:
+        print("blow-up abort: out of memory", file=sys.stderr)
         return EXIT_BLOWUP
     except (OSError, ValueError) as exc:  # unreadable FILE, unwritable --out, ParseError
         print(f"error: {exc}", file=sys.stderr)

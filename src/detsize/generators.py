@@ -132,7 +132,9 @@ def gen_mf_gadget(a: Fsa, t: int) -> Fsa:
 @dataclass(frozen=True)
 class RandomNfaSpec:
     """Parameters for seeded random automata; the output is a deterministic
-    function of the spec."""
+    function of the spec. The co-deterministic sampler reads only ``n``,
+    ``alphabet_size``, ``final_density`` and ``seed``, and a dead state would
+    break co-determinism, so ``force_total`` with it is refused."""
 
     n: int
     alphabet_size: int = 2
@@ -151,6 +153,8 @@ class RandomNfaSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.force_codeterministic and self.force_total:
+            raise ValueError("force_codeterministic and force_total cannot both be set")
 
 
 def _random_codeterministic(spec: RandomNfaSpec, alphabet: tuple[str, ...]) -> Fsa:

@@ -36,6 +36,7 @@ from detsize.generators import (
 )
 
 from conftest import cycle_and_identity
+from exhaustive import check, matrix_classes
 from oracles import powers_closure, relation_closure
 from test_report_fixture import CAP_SETTINGS
 
@@ -401,6 +402,16 @@ class TestAllButOne:
 
 
 class TestFullReport:
+    # (states, symbols): the number of automata up to renaming of states and symbols, and of reports checked
+    SMALL = {(1, 2): (3, 3), (2, 2): (76, 228), (1, 1): (2, 2), (2, 1): (10, 30), (3, 1): (104, 728)}
+
+    def test_every_small_automaton_is_bounded(self):
+        # the larger sizes take seconds; a CI step runs them with ``tests/exhaustive.py``
+        for (n, sigma), (classes, reports) in self.SMALL.items():
+            tight, violations = check(n, sigma)
+            assert violations == [], (n, sigma)
+            assert (len(matrix_classes(n, sigma)), tight["reports"]) == (classes, reports)
+
     def test_moore4(self):
         report = full_report(gen_moore(4))
         assert report.subset_size == 16
@@ -528,6 +539,8 @@ class TestFullReport:
             calls.clear()
             full_report(a, **caps)
             assert len(calls) == len(set(calls)) and len({space for space, _ in calls}) <= 1, a
+            # the empty split's monoid is {identity}: its term is the range bound, with no closure
+            assert all(ks for _, ks in calls), a
 
     def test_caps_checked_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -70,7 +70,9 @@ class TestGen:
         "options, spec",
         [
             ([], {}),
-            (RANDOM_OPTIONS + ["--codeterministic"], dict(RANDOM_SPEC, force_codeterministic=True)),
+            # every option but --total, which --codeterministic refuses
+            (RANDOM_OPTIONS[:-1] + ["--codeterministic"],
+             dict(RANDOM_SPEC, force_total=False, force_codeterministic=True)),
             (RANDOM_OPTIONS, RANDOM_SPEC),
         ],
         ids=["n-only", "every-option", "every-option-but-codeterministic"],
@@ -78,6 +80,10 @@ class TestGen:
     def test_random_options_map_to_spec_fields(self, options, spec, capsys):
         assert main(["gen", "random", "--n", "4", *options]) == 0
         assert capsys.readouterr().out == serialize_fsa(gen_random(RandomNfaSpec(n=4, **spec)))
+
+    def test_codeterministic_total_is_usage_error(self, capsys):
+        assert main(["gen", "random", "--n", "4", "--codeterministic", "--total"]) == 2
+        assert capsys.readouterr().err == "error: force_codeterministic and force_total cannot both be set\n"
 
     def test_gadget_mf_base_without_initial_state_is_usage_error(self, tmp_path, capsys):
         base = tmp_path / "b.fsa"
@@ -185,6 +191,30 @@ class TestDeterminize:
         path = write(tmp_path, "m25.fsa", gen_moore(25))
         assert main(["determinize", path, "--max-states", "1000"]) == 3
         assert "1000 states" in capsys.readouterr().err
+
+    def test_out_of_memory_is_blow_up(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("detsize.cli.subset_construct", exhausted)
+        assert main(["determinize", write(tmp_path, "m3.fsa", gen_moore(3))]) == 3
+        assert capsys.readouterr().err == "blow-up abort: out of memory\n"
+
+    # the child imports the CLI, then limits its own address space to 64 MiB above what it maps
+    OUT_OF_MEMORY = (
+        "import resource, sys\n"
+        "from detsize.cli import main\n"
+        "mapped = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20),) * 2)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_address_space_limit_is_blow_up(self, tmp_path):
+        argv = ["determinize", write(tmp_path, "m24.fsa", gen_moore(24)), "--max-states", "100000000"]
+        result = subprocess.run([sys.executable, "-c", self.OUT_OF_MEMORY, *argv], capture_output=True, text=True,
+                                env=child_env())
+        assert (result.returncode, result.stderr, result.stdout) == (3, "blow-up abort: out of memory\n", "")
 
     def test_epsilon_removed_automatically(self, tmp_path, capsys):
         path = tmp_path / "eps.fsa"
@@ -525,6 +555,17 @@ class TestEquiv:
         p2 = write(tmp_path, "u.fsa", gen_universal())
         assert main(["equiv", p1, p2, "--max-states", "10"]) == 1
         assert capsys.readouterr().out == "not equivalent: <eps>\n"
+
+    def test_witness_order_is_file_a_alphabet_first(self, tmp_path, capsys):
+        # A accepts nothing, B accepts the words a and b: the least witness is FILE_A's first symbol
+        a = tmp_path / "a.fsa"
+        a.write_text("p a p\np b p\n@initial p\n@alphabet b a\n")
+        b = tmp_path / "b.fsa"
+        b.write_text("q a r\nq b r\n@initial q\n@final r\n")
+        assert main(["equiv", str(a), str(b)]) == 1
+        assert capsys.readouterr().out == "not equivalent: b\n"
+        assert main(["equiv", str(b), str(a)]) == 1
+        assert capsys.readouterr().out == "not equivalent: a\n"
 
     def test_moore_vs_universal_witness(self, tmp_path, capsys):
         p1 = write(tmp_path, "m3.fsa", gen_moore(3))

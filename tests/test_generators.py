@@ -235,6 +235,9 @@ class TestRandom:
             RandomNfaSpec(n=0)
         with pytest.raises(ValueError):
             RandomNfaSpec(n=3, density=1.5)
+        # completing a co-deterministic sample with a dead state would break co-determinism
+        with pytest.raises(ValueError, match="force_codeterministic and force_total"):
+            RandomNfaSpec(n=3, force_codeterministic=True, force_total=True)
 
 
 class TestEveryGeneratorOutput:

@@ -9,10 +9,9 @@ Subset characteristic vectors are plain ints with the same bit convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .fsa import Fsa, _require
+from .fsa import Fsa, _Record, _require
 
 DEFAULT_RANGE_CAP = 20
 MAX_RANGE_CAP = 22  # 2**20 range elements peak at 84.5 MiB under tracemalloc; each bit doubles it
@@ -48,15 +47,11 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(_Record):
     """Square matrix over the Boolean semifield ({0,1}, or, and)."""
 
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(self, n: int, rows: Iterable[int]):
+        self._set(n, tuple(rows))
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         for r in self.rows:

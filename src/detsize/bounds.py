@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Sequence
@@ -22,7 +21,7 @@ from .boolmat import (
     transition_matrices,
 )
 from .determinize import DEFAULT_MAX_STATES, BlowUpError, _construct, _Steps, _subset_steps
-from .fsa import Fsa, _require
+from .fsa import Fsa, _Record, _require
 
 DEFAULT_MONOID_CAP = 100_000
 DEFAULT_ESTIMATE_CONSTANT = 2
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonoidClosure:
+class MonoidClosure(_Record):
     """A set of Boolean matrices containing the identity and, unless capped,
     closed under right-multiplication by the generators.
 
@@ -63,11 +61,8 @@ class MonoidClosure:
     ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
     """
 
-    packed: tuple[str, ...]
-    row_of_id: tuple[int, ...]
-    n: int
-    capped: bool
-    cap: int
+    def __init__(self, packed: tuple[str, ...], row_of_id: tuple[int, ...], n: int, capped: bool, cap: int):
+        self._set(packed, row_of_id, n, capped, cap)
 
     @property
     def size(self) -> int:
@@ -314,34 +309,24 @@ def all_but_one_bound(
     return analysis.certified(target), analysis.estimate(target)
 
 
-@dataclass(frozen=True)
-class SymbolStats:
-    symbol: str
-    rank: int
-    range_size: int | None
-    cyclicity: int
+class SymbolStats(_Record):
+    def __init__(self, symbol: str, rank: int, range_size: int | None, cyclicity: int):
+        self._set(symbol, rank, range_size, cyclicity)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Every computed bound for one automaton; None values mark quantities
     whose enumeration was refused or aborted at the recorded cap."""
 
-    n: int
-    alphabet: tuple[str, ...]
-    subset_size: int | None
-    subset_cap: int
-    monoid_bound: int | None
-    monoid_cap: int
-    range_bound: int | None
-    range_cap: int
-    subset_complexity: int | None
-    subset_split: tuple[str, ...] | None
-    all_but_one_certified: int | None
-    all_but_one_target: str | None
-    all_but_one_estimate: int | None
-    all_but_one_constant: int
-    per_symbol: tuple[SymbolStats, ...]
+    def __init__(
+        self, n: int, alphabet: tuple[str, ...], subset_size: int | None, subset_cap: int, monoid_bound: int | None,
+        monoid_cap: int, range_bound: int | None, range_cap: int, subset_complexity: int | None,
+        subset_split: tuple[str, ...] | None, all_but_one_certified: int | None, all_but_one_target: str | None,
+        all_but_one_estimate: int | None, all_but_one_constant: int, per_symbol: tuple[SymbolStats, ...],
+    ):
+        self._set(n, alphabet, subset_size, subset_cap, monoid_bound, monoid_cap, range_bound, range_cap,
+                  subset_complexity, subset_split, all_but_one_certified, all_but_one_target, all_but_one_estimate,
+                  all_but_one_constant, per_symbol)
 
 
 def full_report(

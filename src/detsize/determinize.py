@@ -4,13 +4,12 @@ universality checks, and state complexity."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Callable
 
 from .boolmat import BoolMatrix, image_table, transition_matrices
-from .fsa import Fsa, Word, _require, is_codeterministic, is_deterministic, is_trim
+from .fsa import Fsa, Word, _Record, _require, is_codeterministic, is_deterministic, is_trim
 
 DEFAULT_MAX_STATES = 2**20
 
@@ -44,8 +43,7 @@ class BlowUpError(RuntimeError):
         super().__init__(f"subset construction aborted: {states_found} states found, cap is {max_states}")
 
 
-@dataclass(frozen=True)
-class SubsetAutomaton:
+class SubsetAutomaton(_Record):
     """Output of the subset construction.
 
     ``subsets[i]`` is the bitmask of base states making up state i, with state
@@ -55,10 +53,9 @@ class SubsetAutomaton:
     subset, when reached, is an ordinary (dead) state.
     """
 
-    base: Fsa
-    subsets: tuple[int, ...]
-    transitions: tuple[tuple[int, ...], ...]
-    final_flags: tuple[bool, ...]
+    def __init__(self, base: Fsa, subsets: tuple[int, ...], transitions: tuple[tuple[int, ...], ...],
+                 final_flags: tuple[bool, ...]):
+        self._set(base, subsets, transitions, final_flags)
 
     @property
     def n(self) -> int:

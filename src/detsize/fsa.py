@@ -8,7 +8,6 @@ freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator
@@ -68,8 +67,41 @@ def _valid_state(name: str) -> bool:
     return _valid_symbol(name) and not name.startswith(("@", "#"))
 
 
-@dataclass(frozen=True)
-class Fsa:
+class _Record:
+    """A value whose fields are the parameters of its class's ``__init__``, kept in order as ``__match_args__`` (so
+    ``match`` patterns take them positionally): equal, hashed and shown by them. ``__init__`` stores them once with
+    ``_set``; assigning or deleting an attribute afterwards raises AttributeError."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values) -> None:
+        # object.__setattr__ keeps the values inline; writing to vars(self) would build a __dict__, which slows
+        # every attribute read. Each call returns None, so any() makes them all.
+        any(map(object.__setattr__.__get__(self), self.__match_args__, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Fsa(_Record):
     """A finite-state automaton.
 
     ``transitions`` holds (source, symbol, target) triples; the symbol may be
@@ -78,23 +110,18 @@ class Fsa:
     state set is a legal value (it arises from trimming an empty language).
     """
 
-    alphabet: tuple[str, ...] = ()
-    states: tuple[str, ...] = ()
-    initial: frozenset[str] = frozenset()
-    final: frozenset[str] = frozenset()
-    transitions: frozenset[tuple[str, str, str]] = frozenset()
-
-    def __post_init__(self):
-        if str in map(type, (self.alphabet, self.states, self.initial, self.final, self.transitions)):  # inline: fast
-            _refuse_str(self.alphabet, self.states, self.initial, self.final, self.transitions)
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        object.__setattr__(self, "transitions", frozenset(tuple(t) for t in self.transitions))
+    def __init__(self, alphabet: Iterable[str] = (), states: Iterable[str] = (), initial: Iterable[str] = (),
+                 final: Iterable[str] = (), transitions: Iterable[tuple[str, str, str]] = ()):
+        if str in map(type, (alphabet, states, initial, final, transitions)):  # inline: fast
+            _refuse_str(alphabet, states, initial, final, transitions)
+        if str in map(type, transitions := [*transitions]):  # read as letters, "qaq" would be a triple
+            raise ValueError(f"transition {next(t for t in transitions if type(t) is str)!r} is a string, not a triple")
+        transitions = frozenset(map(tuple, transitions))
+        self._set(tuple(alphabet), tuple(states), frozenset(initial), frozenset(final), transitions)
         symbol_set = set(self.alphabet)
         if len(symbol_set) != len(self.alphabet):
             raise ValueError("duplicate symbol in alphabet")
+        symbol_set.add(EPSILON)  # after the duplicate check: an alphabet that holds it is refused below
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise ValueError("duplicate state name")
@@ -114,7 +141,7 @@ class Fsa:
             src, sym, dst = t
             if src not in state_set or dst not in state_set:
                 raise ValueError(f"transition {t!r} uses an unknown state")
-            if sym != EPSILON and sym not in symbol_set:
+            if sym not in symbol_set:
                 raise ValueError(f"transition {t!r} uses an unknown symbol")
 
     @classmethod
@@ -132,7 +159,7 @@ class Fsa:
         states it does not list; ``alphabet``, then the other transition
         symbols. A name repeated in ``states`` or ``alphabet`` is refused."""
         _refuse_str(alphabet, states, initial, final, transitions)
-        transitions = [tuple(t) for t in transitions]
+        transitions = list(transitions)  # as given: the constructor refuses a string
         initial = list(initial)
         final = list(final)
         states, alphabet = tuple(states), tuple(alphabet)
@@ -140,7 +167,7 @@ class Fsa:
         used = dict.fromkeys([*(q for src, _, dst in transitions for q in (src, dst)), *initial, *final])
         states += tuple(q for q in used if q not in listed)
         extra = (sym for sym in dict.fromkeys(t[1] for t in transitions) if sym != EPSILON and sym not in alphabet)
-        return cls(alphabet + tuple(extra), states, frozenset(initial), frozenset(final), frozenset(transitions))
+        return cls(alphabet + tuple(extra), states, initial, final, transitions)
 
     @property
     def n(self) -> int:

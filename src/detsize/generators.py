@@ -4,10 +4,9 @@ seeded random NFAs for property testing."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
-from .fsa import Fsa, _require, complete_with_dead_state, fresh_state_name, is_trim, reverse, trim
+from .fsa import Fsa, _Record, _require, complete_with_dead_state, fresh_state_name, is_trim, reverse, trim
 
 _RANDOM_RETRIES = 200
 
@@ -129,24 +128,17 @@ def gen_mf_gadget(a: Fsa, t: int) -> Fsa:
     return Fsa(("a", "b", "#"), states, base.initial, final, frozenset(trans))
 
 
-@dataclass(frozen=True)
-class RandomNfaSpec:
+class RandomNfaSpec(_Record):
     """Parameters for seeded random automata; the output is a deterministic
     function of the spec. The co-deterministic sampler reads only ``n``,
     ``alphabet_size``, ``final_density`` and ``seed``, and a dead state would
     break co-determinism, so ``force_total`` with it is refused."""
 
-    n: int
-    alphabet_size: int = 2
-    density: float = 0.3
-    initial_density: float = 0.5
-    final_density: float = 0.5
-    seed: int = 0
-    force_trim: bool = False
-    force_total: bool = False
-    force_codeterministic: bool = False
-
-    def __post_init__(self):
+    def __init__(self, n: int, alphabet_size: int = 2, density: float = 0.3, initial_density: float = 0.5,
+                 final_density: float = 0.5, seed: int = 0, force_trim: bool = False, force_total: bool = False,
+                 force_codeterministic: bool = False):
+        self._set(n, alphabet_size, density, initial_density, final_density, seed, force_trim, force_total,
+                  force_codeterministic)
         _require("n", self.n, 1)
         _require("alphabet_size", self.alphabet_size, 1, 26)
         for name in ("density", "initial_density", "final_density"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -361,13 +362,13 @@ def test_no_fsa_built_beyond_the_input(command, tmp_path, monkeypatch, capsys):
     the command builds is the one it parses."""
     path = write(tmp_path, "a.fsa", dict(EDGE_CASES)["minimize-shrinks"])
     built = []
-    post_init = Fsa.__post_init__
+    init = Fsa.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Fsa, "__post_init__", counting)
+    monkeypatch.setattr(Fsa, "__init__", counting)
     assert main([command, path]) == 0
     assert len(built) == 1
 
@@ -601,7 +602,8 @@ class TestEntryPoint:
         "except SystemExit: pass\n"
         "print(*sorted(set(sys.modules) - before - {'__main__'}))"
     )
-    NEVER = {"detsize.bounds", "detsize.generators", "json"}
+    NO_COMMAND = {"dataclasses", "inspect"}  # the record classes need neither, so no command loads them
+    NEVER = {"detsize.bounds", "detsize.generators", "json", *NO_COMMAND}
 
     def loaded(self, *args: str) -> set[str]:
         result = subprocess.run([sys.executable, "-c", self.LOADED, *args], capture_output=True, text=True,
@@ -618,7 +620,24 @@ class TestEntryPoint:
         assert loaded.isdisjoint(self.NEVER), sorted(loaded & self.NEVER)
 
     def test_bounds_loads_bounds(self, tmp_path):
-        assert "detsize.bounds" in self.loaded("bounds", write(tmp_path, "m4.fsa", gen_moore(4)), "--out", os.devnull)
+        loaded = self.loaded("bounds", write(tmp_path, "m4.fsa", gen_moore(4)), "--out", os.devnull)
+        assert "detsize.bounds" in loaded
+        assert loaded.isdisjoint(self.NO_COMMAND), sorted(loaded & self.NO_COMMAND)
+
+    def test_gen_random_loads_generators(self):
+        loaded = self.loaded("gen", "random", "--n", "4", "--out", os.devnull)
+        assert "detsize.generators" in loaded
+        assert loaded.isdisjoint(self.NO_COMMAND), sorted(loaded & self.NO_COMMAND)
+
+    def test_only_the_entry_point_raises_the_collector_threshold(self, tmp_path, capsys):
+        path = write(tmp_path, "m4.fsa", gen_moore(4))
+        threshold = gc.get_threshold()
+        assert main(["universal", path]) == 1 and gc.get_threshold() == threshold
+        code = ("import gc\nfrom detsize.cli import entry\n"
+                "try: entry()\nexcept SystemExit as end: print(end.code, *gc.get_threshold())")
+        result = subprocess.run([sys.executable, "-c", code, "universal", path], capture_output=True, text=True,
+                                env=child_env())
+        assert result.stdout == "not universal: <eps>\n1 100000 50 100\n"
 
     def test_bare_import_loads_no_module(self):
         result = subprocess.run([sys.executable, "-c", "import sys, detsize; print(*sorted(sys.modules))"],

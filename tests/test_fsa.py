@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detsize.determinize import subset_construct, subset_to_dfa
+from detsize.boolmat import BoolMatrix
+from detsize.bounds import BoundReport, MonoidClosure, SymbolStats, full_report, monoid_closure, report_to_dict
+from detsize.determinize import SubsetAutomaton, subset_construct, subset_to_dfa
 from detsize.fsa import (
     EPSILON,
     Fsa,
@@ -88,6 +91,17 @@ class TestInvariants:
         with pytest.raises(ValueError, match=f"^{field} must be a collection, not the string '{value}'$"):
             build(**{field: value})
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda t: Fsa(("a",), ("q",), {"q"}, {"q"}, {t}), lambda t: Fsa.make([t], ["q"], ["q"])],
+        ids=["Fsa", "Fsa.make"],
+    )
+    def test_rejects_string_transition(self, build):
+        # read as letters, "qaq" would be the triple ("q", "a", "q")
+        with pytest.raises(ValueError, match="^transition 'qaq' is a string, not a triple$"):
+            build("qaq")
+        assert build(("q", "a", "q")).transitions == {("q", "a", "q")}
+
     def test_empty_state_set_is_legal(self):
         a = Fsa(("a",), (), frozenset(), frozenset(), frozenset())
         assert a.n == 0
@@ -97,6 +111,72 @@ class TestInvariants:
     def test_duplicate_transitions_collapse(self):
         a = Fsa.make([("q0", "a", "q1"), ("q0", "a", "q1")], ["q0"], ["q1"])
         assert len(a.transitions) == 1
+
+
+REPORT_FIELDS = """n alphabet subset_size subset_cap monoid_bound monoid_cap range_bound range_cap subset_complexity
+    subset_split all_but_one_certified all_but_one_target all_but_one_estimate all_but_one_constant per_symbol"""
+
+
+def _records() -> list:
+    """(class, field values in field order, a field and another valid value for it) for each record class."""
+    m = gen_moore(3)
+    s = subset_construct(m)
+    c = monoid_closure([BoolMatrix.identity(2)], cap=5)
+    r = full_report(m)
+    return [
+        (Fsa, dict(alphabet=("a",), states=("q", "r"), initial=frozenset("q"), final=frozenset("r"),
+                   transitions=frozenset({("q", "a", "r")})), ("final", frozenset("q"))),
+        (BoolMatrix, dict(n=2, rows=(1, 3)), ("rows", (1, 2))),
+        (SubsetAutomaton, dict(base=s.base, subsets=s.subsets, transitions=s.transitions, final_flags=s.final_flags),
+         ("final_flags", (False,) * s.n)),
+        (MonoidClosure, dict(packed=c.packed, row_of_id=c.row_of_id, n=c.n, capped=c.capped, cap=c.cap), ("cap", 6)),
+        (SymbolStats, dict(symbol="a", rank=2, range_size=None, cyclicity=1), ("range_size", 3)),
+        (BoundReport, {k: getattr(r, k) for k in REPORT_FIELDS.split()}, ("subset_size", None)),
+        (RandomNfaSpec, dict(n=3, alphabet_size=2, density=0.3, initial_density=0.5, final_density=0.5, seed=7,
+                             force_trim=True, force_total=False, force_codeterministic=False), ("seed", 8)),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("cls, fields, other", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_contract(cls, fields, other):
+    """Each record class is a value: equal, hashed and shown by its fields in order, unchangeable, pickled whole."""
+    x, y = cls(**fields), cls(*fields.values())
+    assert cls.__match_args__ == tuple(fields)
+    assert x == y and hash(x) == hash(y) and x is not y
+    changed = cls(**{**fields, other[0]: other[1]})
+    assert changed != x and x != tuple(fields.values())
+    assert repr(x) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == y and vars(x) == vars(y)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    if cls is not Fsa:  # every Fsa field has a default
+        with pytest.raises(TypeError):
+            cls(**dict(list(fields.items())[1:]))
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_record_repr_and_cached_fields():
+    a = Fsa(("a",), ("q",), {"q"}, {"q"}, [("q", "a", "q")])
+    assert repr(a) == (
+        "Fsa(alphabet=('a',), states=('q',), initial=frozenset({'q'}), final=frozenset({'q'}), "
+        "transitions=frozenset({('q', 'a', 'q')}))"
+    )
+    b = Fsa(*vars(a).values())
+    assert b.state_index == {"q": 0}  # a cached property is neither a field nor compared
+    assert a == b and hash(a) == hash(b) and pickle.loads(pickle.dumps(b)) == a
+
+
+def test_report_tree_writes_the_four_symbol_fields():
+    tree = report_to_dict(full_report(gen_moore(3)))
+    assert [list(s) for s in tree["per_symbol"]] == [["symbol", "rank", "range_size", "cyclicity"]] * 2
 
 
 class TestParse:

@@ -12,17 +12,7 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .determinize import (
-    DEFAULT_MAX_STATES,
-    BlowUpError,
-    SubsetAutomaton,
-    _minimal_table,
-    distinguishing_word,
-    state_complexity,
-    subset_construct,
-    universality_witness,
-)
-from .fsa import EPSILON, Fsa, _text, parse_fsa, remove_epsilon, serialize_fsa
+from .fsa import DEFAULT_MAX_STATES, EPSILON, BlowUpError, Fsa, _text, parse_fsa, remove_epsilon, serialize_fsa
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -139,7 +129,6 @@ def _gen_random(g, args) -> Fsa:
 
 def _cmd_gen(args) -> int:
     from . import generators
-
     _write(args, [serialize_fsa(args.make(generators, args))])
     return EXIT_OK
 
@@ -147,6 +136,7 @@ def _cmd_gen(args) -> int:
 def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, Iterator[str]]:
     """State count and ``serialize_fsa`` text, in chunks, of ``subset_to_dfa(s)``, or of its ``minimize`` when
     ``minimal``, with no named ``Fsa``. Each state has a line per symbol, so first use is sorted order."""
+    from .determinize import _minimal_table
     table = _minimal_table(s.transitions, s.final_flags, 0) if minimal else None
     names, rows, final_flags = table or (s.names, s.transitions, s.final_flags)
     alphabet = s.base.alphabet
@@ -157,6 +147,7 @@ def _dfa_text(s: SubsetAutomaton, minimal: bool) -> tuple[int, Iterator[str]]:
 
 
 def _cmd_determinize(args) -> int:
+    from .determinize import subset_construct
     n, chunks = _dfa_text(subset_construct(_load(args, args.input), args.max_states), args.command == "minimize")
     print(n, file=sys.stderr)
     _write(args, chunks)
@@ -164,6 +155,7 @@ def _cmd_determinize(args) -> int:
 
 
 def _cmd_state_complexity(args) -> int:
+    from .determinize import state_complexity
     a = _load(args, args.input)
     _write(args, [f"{state_complexity(a, args.max_states)}\n"])
     return EXIT_OK
@@ -171,7 +163,6 @@ def _cmd_state_complexity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .bounds import full_report, render_report_text, report_to_json
-
     a = _load(args, args.input)
     report = full_report(a, **{k: v for k, v in vars(args).items() if k in ("monoid_cap", "range_cap", "max_states")})
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
@@ -194,11 +185,13 @@ def _verdict(args, verdict: str, witness: tuple[str, ...] | None) -> int:
 
 
 def _cmd_universal(args) -> int:
+    from .determinize import universality_witness
     a = _load(args, args.input)
     return _verdict(args, "universal", universality_witness(a, args.max_states))
 
 
 def _cmd_equiv(args) -> int:
+    from .determinize import distinguishing_word
     a = _load(args, args.input_a)
     b = _load(args, args.input_b)
     return _verdict(args, "equivalent", distinguishing_word(a, b, args.max_states))

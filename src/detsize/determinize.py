@@ -9,9 +9,8 @@ from itertools import compress
 from typing import Callable
 
 from .boolmat import BoolMatrix, image_table, transition_matrices
-from .fsa import Fsa, Word, _Record, _require, is_codeterministic, is_deterministic, is_trim
-
-DEFAULT_MAX_STATES = 2**20
+from .fsa import (DEFAULT_MAX_STATES, BlowUpError, Fsa, Word, _Record, _require, is_codeterministic, is_deterministic,
+                  is_trim)
 
 # the memory ceiling of image tables: no 2**n table is built above this dimension
 _TABLE_LIMIT = 16
@@ -32,15 +31,6 @@ __all__ = [
     "universality_witness",
     "check_brzozowski",
 ]
-
-
-class BlowUpError(RuntimeError):
-    """The subset construction was aborted after discovering too many states."""
-
-    def __init__(self, states_found: int, max_states: int):
-        self.states_found = states_found
-        self.max_states = max_states
-        super().__init__(f"subset construction aborted: {states_found} states found, cap is {max_states}")
 
 
 class SubsetAutomaton(_Record):
@@ -276,15 +266,17 @@ def _shortest_word(alphabet: tuple[str, ...], sides: list[_Steps], is_witness: C
     if is_witness(start):
         return ()
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
+    known = 1  # len(parent): one dict operation per successor, since hashing a wide node costs
     queue = [start]
     for node in queue:
         successors = zip(*[[step(s) for step in steps] for s, steps in zip(node, sides)])
         for sym, nxt in zip(alphabet, successors):
-            if nxt in parent:
+            parent.setdefault(nxt, (node, sym))
+            if len(parent) == known:
                 continue
-            if len(parent) >= max_states:
-                raise BlowUpError(len(parent), max_states)
-            parent[nxt] = (node, sym)
+            if known >= max_states:
+                raise BlowUpError(known, max_states)
+            known += 1
             if is_witness(nxt):
                 word = [sym]
                 while parent[node] is not None:

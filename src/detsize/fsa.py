@@ -8,7 +8,6 @@ freely between threads.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -52,6 +51,18 @@ def _require(name: str, value: int, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be at most {high}")
 
 
+DEFAULT_MAX_STATES = 2**20  # the cap of every subset search: here with its error, so a command names both unloaded
+
+
+class BlowUpError(RuntimeError):
+    """The subset construction was aborted after discovering too many states."""
+
+    def __init__(self, states_found: int, max_states: int):
+        self.states_found = states_found
+        self.max_states = max_states
+        super().__init__(f"subset construction aborted: {states_found} states found, cap is {max_states}")
+
+
 def _refuse_str(*collections) -> None:
     """ValueError for a bare string among the five collections of an ``Fsa``, in field order: it reads as letters."""
     for name, value in zip(("alphabet", "states", "initial", "final", "transitions"), collections):
@@ -61,10 +72,6 @@ def _refuse_str(*collections) -> None:
 
 def _valid_symbol(sym: str) -> bool:
     return isinstance(sym, str) and sym.split() == [sym] and sym != EPSILON
-
-
-def _valid_state(name: str) -> bool:
-    return _valid_symbol(name) and not name.startswith(("@", "#"))
 
 
 class _Record:
@@ -108,6 +115,8 @@ class Fsa(_Record):
     the reserved out-of-alphabet marker ``EPSILON``. Transitions form a set,
     so duplicates collapse; multiplicity never affects the language. The empty
     state set is a legal value (it arises from trimming an empty language).
+    The constructor also sets ``state_index``, each state's index, and ``has_epsilon``, whether a transition is on
+    ``EPSILON``: derived from the fields, they are neither fields nor compared.
     """
 
     def __init__(self, alphabet: Iterable[str] = (), states: Iterable[str] = (), initial: Iterable[str] = (),
@@ -116,33 +125,38 @@ class Fsa(_Record):
             _refuse_str(alphabet, states, initial, final, transitions)
         if str in map(type, transitions := [*transitions]):  # read as letters, "qaq" would be a triple
             raise ValueError(f"transition {next(t for t in transitions if type(t) is str)!r} is a string, not a triple")
+        alphabet, states, initial, final = tuple(alphabet), tuple(states), frozenset(initial), frozenset(final)
         transitions = frozenset(map(tuple, transitions))
-        self._set(tuple(alphabet), tuple(states), frozenset(initial), frozenset(final), transitions)
-        symbol_set = set(self.alphabet)
-        if len(symbol_set) != len(self.alphabet):
+        symbol_set = set(alphabet)
+        if len(symbol_set) != len(alphabet):
             raise ValueError("duplicate symbol in alphabet")
-        symbol_set.add(EPSILON)  # after the duplicate check: an alphabet that holds it is refused below
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
+        index = dict(zip(states, range(len(states))))  # also the duplicate check and the membership test
+        if len(index) != len(states):
             raise ValueError("duplicate state name")
-        for sym in self.alphabet:
+        for sym in alphabet:
             if not _valid_symbol(sym):
                 raise ValueError(f"invalid symbol {sym!r}")
-        for q in self.states:
-            if not _valid_state(q):
+        for q in states:
+            if not _valid_symbol(q) or q[0] in "@#":  # a valid symbol is a non-empty string
                 raise ValueError(f"invalid state name {q!r}")
-        for kind, group in (("initial", self.initial), ("final", self.final)):
+        for kind, group in (("initial", initial), ("final", final)):
             for q in group:
-                if q not in state_set:
+                if q not in index:
                     raise ValueError(f"{kind} state {q!r} not in state set")
-        for t in self.transitions:
+        has_epsilon = False
+        for t in transitions:
             if len(t) != 3:
                 raise ValueError(f"transition {t!r} is not a triple")
             src, sym, dst = t
-            if src not in state_set or dst not in state_set:
+            if src not in index or dst not in index:
                 raise ValueError(f"transition {t!r} uses an unknown state")
-            if sym not in symbol_set:
-                raise ValueError(f"transition {t!r} uses an unknown symbol")
+            if sym not in symbol_set:  # the alphabet holds no EPSILON: a valid symbol is not that marker
+                if sym != EPSILON:
+                    raise ValueError(f"transition {t!r} uses an unknown symbol")
+                has_epsilon = True
+        self._set(alphabet, states, initial, final, transitions)
+        object.__setattr__(self, "state_index", index)
+        object.__setattr__(self, "has_epsilon", has_epsilon)
 
     @classmethod
     def make(
@@ -164,22 +178,15 @@ class Fsa(_Record):
         final = list(final)
         states, alphabet = tuple(states), tuple(alphabet)
         listed = set(states)
-        used = dict.fromkeys([*(q for src, _, dst in transitions for q in (src, dst)), *initial, *final])
+        triples = [t for t in transitions if len(t) == 3]  # the constructor names any other
+        used = dict.fromkeys([*(q for src, _, dst in triples for q in (src, dst)), *initial, *final])
         states += tuple(q for q in used if q not in listed)
-        extra = (sym for sym in dict.fromkeys(t[1] for t in transitions) if sym != EPSILON and sym not in alphabet)
+        extra = (sym for sym in dict.fromkeys(t[1] for t in triples) if sym != EPSILON and sym not in alphabet)
         return cls(alphabet + tuple(extra), states, initial, final, transitions)
 
     @property
     def n(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {q: i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def has_epsilon(self) -> bool:
-        return any(sym == EPSILON for _, sym, _ in self.transitions)
 
 
 def parse_fsa(text: str) -> Fsa:
@@ -198,48 +205,52 @@ def parse_fsa(text: str) -> Fsa:
     initial: list[str] = []
     final: list[str] = []
     transitions: list[tuple[str, str, str]] = []
-
-    def declare_state(name: str, lineno: int) -> None:
-        if name not in states:
-            if not _valid_state(name):
-                raise ParseError(f"invalid state name {name!r}", lineno)
-            states[name] = None
-
+    # A state name is checked at its first use. A token of str.split() is non-empty and holds no whitespace, so it is
+    # a valid state name unless it is EPSILON or starts with @ or #.
     for lineno, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens or tokens[0][0] == "#":
             continue
         head = tokens[0]
-        if head == "@alphabet":
+        if head[0] != "@":
+            if len(tokens) != 3:
+                raise ParseError("transition line must be 'src sym dst'", lineno)
+            src, sym, dst = tokens
+            if src not in states:
+                if src == EPSILON:  # the line's head, so neither @ nor #
+                    raise ParseError(f"invalid state name {src!r}", lineno)
+                states[src] = None
+            if dst not in states:
+                if dst == EPSILON or dst[0] in "@#":
+                    raise ParseError(f"invalid state name {dst!r}", lineno)
+                states[dst] = None
+            if sym not in symbols and sym != EPSILON:
+                if pinned is not None and sym not in pinned:
+                    raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
+                symbols[sym] = None
+            transitions.append((src, sym, dst))
+        elif head == "@initial" or head == "@final":
+            if len(tokens) != 2:
+                raise ParseError(f"{head} takes exactly one state", lineno)
+            q = tokens[1]
+            if q not in states:
+                if q == EPSILON or q[0] in "@#":
+                    raise ParseError(f"invalid state name {q!r}", lineno)
+                states[q] = None
+            (initial if head == "@initial" else final).append(q)
+        elif head == "@alphabet":
             if pinned is not None:
                 raise ParseError("duplicate @alphabet declaration", lineno)
             pinned = tokens[1:]
             if len(set(pinned)) != len(pinned):
                 raise ParseError("duplicate symbol in @alphabet", lineno)
-            for sym in pinned:
-                if not _valid_symbol(sym):
-                    raise ParseError(f"invalid symbol {sym!r}", lineno)
+            if EPSILON in pinned:  # a token is otherwise a valid symbol
+                raise ParseError(f"invalid symbol {EPSILON!r}", lineno)
             for sym in symbols:
                 if sym not in pinned:
                     raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
-        elif head in ("@initial", "@final"):
-            if len(tokens) != 2:
-                raise ParseError(f"{head} takes exactly one state", lineno)
-            declare_state(tokens[1], lineno)
-            (initial if head == "@initial" else final).append(tokens[1])
-        elif head.startswith("@"):
-            raise ParseError(f"unknown directive {head!r}", lineno)
         else:
-            if len(tokens) != 3:
-                raise ParseError("transition line must be 'src sym dst'", lineno)
-            src, sym, dst = tokens
-            declare_state(src, lineno)
-            declare_state(dst, lineno)
-            if sym != EPSILON and sym not in symbols:
-                if pinned is not None and sym not in pinned:
-                    raise ParseError(f"symbol {sym!r} not in declared alphabet", lineno)
-                symbols[sym] = None
-            transitions.append((src, sym, dst))
+            raise ParseError(f"unknown directive {head!r}", lineno)
 
     if not states:
         raise ParseError("no states declared")

@@ -102,6 +102,12 @@ class TestInvariants:
             build("qaq")
         assert build(("q", "a", "q")).transitions == {("q", "a", "q")}
 
+    @pytest.mark.parametrize("transitions", [[("p", "q")], ["qaqq"], [("p", "a", "q"), ("p", "q")]],
+                             ids=["pair", "string", "triple-and-pair"])
+    def test_make_names_a_transition_that_is_not_a_triple(self, transitions):
+        with pytest.raises(ValueError, match=r"^transition .+ not a triple$"):
+            Fsa.make(transitions)
+
     def test_empty_state_set_is_legal(self):
         a = Fsa(("a",), (), frozenset(), frozenset(), frozenset())
         assert a.n == 0
@@ -169,9 +175,30 @@ def test_record_repr_and_cached_fields():
         "Fsa(alphabet=('a',), states=('q',), initial=frozenset({'q'}), final=frozenset({'q'}), "
         "transitions=frozenset({('q', 'a', 'q')}))"
     )
-    b = Fsa(*vars(a).values())
-    assert b.state_index == {"q": 0}  # a cached property is neither a field nor compared
+    b = Fsa(*(getattr(a, name) for name in Fsa.__match_args__))
+    assert b.state_index == {"q": 0}  # a derived attribute is neither a field nor compared
     assert a == b and hash(a) == hash(b) and pickle.loads(pickle.dumps(b)) == a
+
+
+def test_derived_attributes_are_set_once_and_not_fields():
+    a = Fsa.make([("p", "a", "q"), ("q", EPSILON, "p")], ["p"], ["q"])
+    for name in ("state_index", "has_epsilon"):
+        assert not hasattr(Fsa, name)  # no cached_property, nor any other class attribute: the constructor sets both
+    assert (a.state_index, a.has_epsilon) == ({"p": 0, "q": 1}, True)
+    b = pickle.loads(pickle.dumps(a))
+    assert (b.state_index, b.has_epsilon) == (a.state_index, a.has_epsilon)
+    assert a == b and hash(a) == hash((a.alphabet, a.states, a.initial, a.final, a.transitions))
+    assert repr(a) == (f"Fsa(alphabet=('a',), states=('p', 'q'), initial=frozenset({{'p'}}), final=frozenset({{'q'}}), "
+                       f"transitions={a.transitions!r})")
+
+
+def test_derived_attributes_match_a_recomputation(random_nfas, unary_nfas, total_nfas, codeterministic_nfas,
+                                                  family_nfas):
+    corpus = random_nfas + unary_nfas + total_nfas + codeterministic_nfas + family_nfas
+    for i, a in enumerate(corpus):
+        for x in (a, with_epsilons(a, i)):
+            assert x.state_index == {q: k for k, q in enumerate(x.states)}
+            assert x.has_epsilon == any(sym == EPSILON for _, sym, _ in x.transitions)
 
 
 def test_report_tree_writes_the_four_symbol_fields():
@@ -228,6 +255,23 @@ class TestParse:
     )
     def test_invalid_name_reports_its_line(self, text, line, message):
         with pytest.raises(ParseError, match=f"line {line}: {message}") as info:
+            parse_fsa(text)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("q0 a q1\nq1 a @x\nq1 b q0\n@states q\n", 2, "invalid state name '@x'"),
+            ("@final\nq a q\nq b <eps>\n", 1, "@final takes exactly one state"),
+            ("<eps> a @x\n", 1, "invalid state name '<eps>'"),
+            ("@alphabet a\nq b @x\n", 2, "invalid state name '@x'"),
+            ("q a #q\n@initial q q\n", 1, "invalid state name '#q'"),
+        ],
+        ids=["target-before-directive", "directive-before-target", "source-before-target", "state-before-symbol",
+             "target-before-arity"],
+    )
+    def test_first_fault_is_reported(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
             parse_fsa(text)
         assert info.value.line == line
 

@@ -58,7 +58,7 @@ class MonoidClosure(_Record):
     ``packed`` lists the elements in breadth-first order as strings whose i-th
     code point is the id of row i, ``row_of_id`` holds the rows of the closure's row space
     by id (the unit vectors, then each row in the order its image lists met it), and
-    ``capped`` marks an early stop; ``rows`` and ``elements`` are built lazily.
+    ``capped`` marks an early stop; ``rows`` and ``elements`` are built on each read.
     """
 
     def __init__(self, packed: tuple[str, ...], row_of_id: tuple[int, ...], n: int, capped: bool, cap: int):
@@ -68,11 +68,11 @@ class MonoidClosure(_Record):
     def size(self) -> int:
         return len(self.packed)
 
-    @cached_property
+    @property
     def rows(self) -> frozenset[tuple[int, ...]]:
         return frozenset(tuple(self.row_of_id[i] for i in map(ord, x)) for x in self.packed)
 
-    @cached_property
+    @property
     def elements(self) -> frozenset[BoolMatrix]:
         return frozenset(BoolMatrix(self.n, r) for r in self.rows)
 

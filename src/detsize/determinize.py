@@ -4,7 +4,6 @@ universality checks, and state complexity."""
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
 from itertools import compress
 from typing import Callable
 
@@ -14,7 +13,7 @@ from .fsa import (DEFAULT_MAX_STATES, BlowUpError, Fsa, Word, _Record, _require,
 
 # the memory ceiling of image tables: no 2**n table is built above this dimension
 _TABLE_LIMIT = 16
-# a symbol's image table is built once the symbol has taken 2**(n - _PAYBACK) steps
+# a symbol's image table is built once the symbol has taken 2**max(n - _PAYBACK, 0) steps
 _PAYBACK = 5
 
 __all__ = [
@@ -51,7 +50,7 @@ class SubsetAutomaton(_Record):
     def n(self) -> int:
         return len(self.subsets)
 
-    @cached_property
+    @property
     def names(self) -> tuple[str, ...]:
         """``S<i>=`` and the base states of subset i, comma-separated in base
         index order, as in ``S0=q1,q2``. The bin() digits are read from the
@@ -88,10 +87,10 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
     A symbol of ``a`` rents ``BoolMatrix.apply`` until it has taken 2**(n - _PAYBACK)
     steps, then buys the image table of its matrix in ``mats`` and steps through
     it: ski rental (Karlin, Manasse, Rudolph and Sleator, 1988), never much more
-    than twice the cheaper choice made in hindsight. A price of at most 4 steps
-    buys at once, keeping the many tiny automata off the meter; above
-    ``_TABLE_LIMIT`` states nothing is bought. A symbol that ``a`` lacks steps
-    every subset to the empty one, with no table."""
+    than twice the cheaper choice made in hindsight. Up to ``_PAYBACK`` states
+    the price is one step, so the first step buys; above ``_TABLE_LIMIT`` states
+    nothing is bought. A symbol that ``a`` lacks steps every subset to the empty
+    one, with no table."""
     steps = _Steps()
     for sym in alphabet:
         m = mats.get(sym)
@@ -99,10 +98,8 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
             steps.append(lambda subset: 0)
         elif a.n > _TABLE_LIMIT:
             steps.append(m.apply)
-        elif a.n - _PAYBACK <= 2:
-            steps.append(image_table(m).__getitem__)
         else:
-            steps.append(_rent(weakref.ref(steps), len(steps), m, 1 << a.n - _PAYBACK))
+            steps.append(_rent(weakref.ref(steps), len(steps), m, 1 << max(a.n - _PAYBACK, 0)))
     idx = a.state_index
     steps.init = sum(1 << idx[q] for q in a.initial)
     steps.final = sum(1 << idx[q] for q in a.final)

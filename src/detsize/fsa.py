@@ -44,7 +44,9 @@ class ParseError(ValueError):
 
 
 def _require(name: str, value: int, low: int, high: int | None = None) -> None:
-    """The one rule for a cap or size parameter, checked before any work: ValueError below ``low`` or above ``high``."""
+    """The one rule for a cap or size parameter, checked before any work: ValueError unless an int from ``low`` to ``high``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
     if value < low:
         raise ValueError(f"{name} must be at least {low}")
     if high is not None and value > high:

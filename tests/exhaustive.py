@@ -3,9 +3,10 @@
 The bounds depend only on the transition matrices, and ``subset_size`` only on
 the matrices and the initial set, so final states are left empty. Automata are
 taken one per class under renaming of the states and of the symbols, which
-changes neither, each with every non-empty initial set. Every bound of the
-report must be at least ``subset_size``, and every unary matrix must satisfy
-the monoid sandwich that ``unary_monoid_bounds`` checks.
+changes neither, each with every non-empty initial set. ``subset_size`` must
+equal the oracle's count of accessible subsets, every bound of the report must
+be at least ``subset_size``, and every unary matrix must satisfy the monoid
+sandwich that ``unary_monoid_bounds`` checks.
 
 Run as ``PYTHONPATH=src python tests/exhaustive.py N SIGMA`` to check every
 SIGMA-letter automaton on N states. It prints how often each bound equals
@@ -20,6 +21,8 @@ from itertools import permutations, product
 
 from detsize.bounds import full_report, unary_monoid_bounds
 from detsize.fsa import Fsa, serialize_fsa
+
+from oracles import accessible_subsets
 
 BOUNDS = ("monoid_bound", "range_bound", "subset_complexity", "all_but_one_certified")
 
@@ -55,7 +58,8 @@ def matrix_classes(n: int, sigma: int) -> list[tuple[int, ...]]:
 def check(n: int, sigma: int) -> tuple[Counter, list[str]]:
     """Check every ``sigma``-letter automaton on ``n`` states: how often each
     bound equals ``subset_size`` (and the number of reports, under
-    ``"reports"``), and one line per bound below ``subset_size``."""
+    ``"reports"``), and one line per bound below ``subset_size`` and per
+    ``subset_size`` that is not the oracle's."""
     states = tuple(f"q{i}" for i in range(n))
     alphabet = tuple(chr(ord("a") + k) for k in range(sigma))
     tight: Counter = Counter()
@@ -69,6 +73,8 @@ def check(n: int, sigma: int) -> tuple[Counter, list[str]]:
             a = Fsa.make(edges, [q for i, q in enumerate(states) if initial >> i & 1], states=states, alphabet=alphabet)
             report = full_report(a)
             tight["reports"] += 1
+            if report.subset_size != len(accessible_subsets(a)):
+                violations.append(f"subset_size {report.subset_size} is not the oracle's for {serialize_fsa(a)!r}")
             for name in BOUNDS:
                 bound = getattr(report, name)
                 if bound is not None and bound < report.subset_size:

@@ -403,7 +403,8 @@ class TestAllButOne:
 
 class TestFullReport:
     # (states, symbols): the number of automata up to renaming of states and symbols, and of reports checked
-    SMALL = {(1, 2): (3, 3), (2, 2): (76, 228), (1, 1): (2, 2), (2, 1): (10, 30), (3, 1): (104, 728)}
+    SMALL = {(1, 2): (3, 3), (2, 2): (76, 228), (2, 3): (430, 1290), (1, 1): (2, 2), (2, 1): (10, 30),
+             (3, 1): (104, 728)}
 
     def test_every_small_automaton_is_bounded(self):
         # the larger sizes take seconds; a CI step runs them with ``tests/exhaustive.py``
@@ -600,7 +601,7 @@ def _counting_tables(monkeypatch) -> list[BoolMatrix]:
 
 class TestTablesPayForThemselves:
     """A symbol steps through BoolMatrix.apply until its steps, counted over
-    every user, reach 2**(n - _PAYBACK); then its image table replaces the step."""
+    every user, reach 2**max(n - _PAYBACK, 0); then its image table replaces the step."""
 
     SPARSE16 = gen_random(RandomNfaSpec(n=16, alphabet_size=3, density=0.15, seed=1))
     MOORE12 = gen_moore(12)
@@ -626,6 +627,13 @@ class TestTablesPayForThemselves:
         report = full_report(self.SPARSE16, monoid_cap=10_000)
         assert (report.subset_size, report.subset_complexity) == (21, subset_complexity(self.SPARSE16)[0])
         all_but_one_bound(self.SPARSE16, "a")
+        assert built == []
+
+    def test_answer_before_any_step_buys_no_table(self, monkeypatch):
+        # Moore 4 rejects the empty word, so the search takes no step: a small
+        # automaton rents like a large one and buys a table only by stepping
+        built = _counting_tables(monkeypatch)
+        assert universality_witness(gen_moore(4)) == ()
         assert built == []
 
     def test_dense_input_buys_each_table_once(self, monkeypatch):

@@ -1,7 +1,7 @@
 """Every public function with a cap or size parameter refuses a value below its
-floor with ValueError before any work (``matrix_range`` one above its ceiling
-too), and the table below names every such parameter, so a new entry point
-cannot skip the rule unnoticed."""
+floor, or one that is not an int, with ValueError before any work
+(``matrix_range`` one above its ceiling too), and the table below names every
+such parameter, so a new entry point cannot skip the rule unnoticed."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from detsize.determinize import (
     subset_construct,
     universality_witness,
 )
-from detsize.generators import gen_moore
+from detsize.generators import RandomNfaSpec, gen_moore
 
 MODULES = ("fsa", "boolmat", "determinize", "bounds", "generators")
 CAP_PARAMETERS = {"cap", "monoid_cap", "range_cap", "max_states"}
@@ -38,33 +38,26 @@ WORK = (
 M16 = gen_moore(16)
 I16 = BoolMatrix.identity(16)
 
-# (function, parameter) -> (a call with that parameter one below its floor, the error it raises)
-BELOW_FLOOR = {
-    ("matrix_range", "cap"): (lambda: matrix_range(I16, cap=-1), "cap must be at least 0"),
-    ("monoid_closure", "cap"): (lambda: monoid_closure([I16], cap=0), "cap must be at least 1"),
-    ("monoid_bound", "cap"): (lambda: monoid_bound(M16, cap=0), "monoid_cap must be at least 1"),
-    ("range_bound", "range_cap"): (lambda: range_bound(M16, range_cap=-1), "range_cap must be at least 0"),
-    ("subset_complexity", "monoid_cap"): (
-        lambda: subset_complexity(M16, monoid_cap=0), "monoid_cap must be at least 1"),
-    ("subset_complexity", "range_cap"): (
-        lambda: subset_complexity(M16, range_cap=-1), "range_cap must be at least 0"),
-    ("all_but_one_bound", "monoid_cap"): (
-        lambda: all_but_one_bound(M16, "a", monoid_cap=0), "monoid_cap must be at least 1"),
-    ("all_but_one_bound", "range_cap"): (
-        lambda: all_but_one_bound(M16, "a", range_cap=-1), "range_cap must be at least 0"),
-    ("full_report", "monoid_cap"): (lambda: full_report(M16, monoid_cap=0), "monoid_cap must be at least 1"),
-    ("full_report", "range_cap"): (lambda: full_report(M16, range_cap=-1), "range_cap must be at least 0"),
-    ("full_report", "max_states"): (lambda: full_report(M16, max_states=0), "max_states must be at least 1"),
-    ("subset_construct", "max_states"): (
-        lambda: subset_construct(M16, max_states=0), "max_states must be at least 1"),
-    ("state_complexity", "max_states"): (
-        lambda: state_complexity(M16, max_states=0), "max_states must be at least 1"),
-    ("equivalent", "max_states"): (lambda: equivalent(M16, M16, max_states=0), "max_states must be at least 1"),
-    ("distinguishing_word", "max_states"): (
-        lambda: distinguishing_word(M16, M16, max_states=0), "max_states must be at least 1"),
-    ("is_universal", "max_states"): (lambda: is_universal(M16, max_states=0), "max_states must be at least 1"),
-    ("universality_witness", "max_states"): (
-        lambda: universality_witness(M16, max_states=0), "max_states must be at least 1"),
+# (function, parameter) -> (a call with that parameter set to its one argument, the parameter's floor, the name its
+# errors give)
+CAPS = {
+    ("matrix_range", "cap"): (lambda v: matrix_range(I16, cap=v), 0, "cap"),
+    ("monoid_closure", "cap"): (lambda v: monoid_closure([I16], cap=v), 1, "cap"),
+    ("monoid_bound", "cap"): (lambda v: monoid_bound(M16, cap=v), 1, "monoid_cap"),
+    ("range_bound", "range_cap"): (lambda v: range_bound(M16, range_cap=v), 0, "range_cap"),
+    ("subset_complexity", "monoid_cap"): (lambda v: subset_complexity(M16, monoid_cap=v), 1, "monoid_cap"),
+    ("subset_complexity", "range_cap"): (lambda v: subset_complexity(M16, range_cap=v), 0, "range_cap"),
+    ("all_but_one_bound", "monoid_cap"): (lambda v: all_but_one_bound(M16, "a", monoid_cap=v), 1, "monoid_cap"),
+    ("all_but_one_bound", "range_cap"): (lambda v: all_but_one_bound(M16, "a", range_cap=v), 0, "range_cap"),
+    ("full_report", "monoid_cap"): (lambda v: full_report(M16, monoid_cap=v), 1, "monoid_cap"),
+    ("full_report", "range_cap"): (lambda v: full_report(M16, range_cap=v), 0, "range_cap"),
+    ("full_report", "max_states"): (lambda v: full_report(M16, max_states=v), 1, "max_states"),
+    ("subset_construct", "max_states"): (lambda v: subset_construct(M16, max_states=v), 1, "max_states"),
+    ("state_complexity", "max_states"): (lambda v: state_complexity(M16, max_states=v), 1, "max_states"),
+    ("equivalent", "max_states"): (lambda v: equivalent(M16, M16, max_states=v), 1, "max_states"),
+    ("distinguishing_word", "max_states"): (lambda v: distinguishing_word(M16, M16, max_states=v), 1, "max_states"),
+    ("is_universal", "max_states"): (lambda v: is_universal(M16, max_states=v), 1, "max_states"),
+    ("universality_witness", "max_states"): (lambda v: universality_witness(M16, max_states=v), 1, "max_states"),
 }
 
 
@@ -76,7 +69,7 @@ def test_table_names_every_cap_parameter():
             obj = getattr(mod, name)
             if inspect.isfunction(obj):
                 found |= {(name, p) for p in inspect.signature(obj).parameters if p in CAP_PARAMETERS}
-    assert set(BELOW_FLOOR) == found
+    assert set(CAPS) == found
 
 
 @pytest.fixture
@@ -89,11 +82,26 @@ def no_work(monkeypatch):
         monkeypatch.setattr(target, fail)
 
 
-@pytest.mark.parametrize("key", sorted(BELOW_FLOOR), ids="{0[0]}-{0[1]}".format)
+@pytest.mark.parametrize("key", sorted(CAPS), ids="{0[0]}-{0[1]}".format)
 def test_below_floor_is_refused_before_any_work(key, no_work):
-    call, message = BELOW_FLOOR[key]
-    with pytest.raises(ValueError, match=message):
-        call()
+    call, floor, name = CAPS[key]
+    with pytest.raises(ValueError, match=f"{name} must be at least {floor}"):
+        call(floor - 1)
+
+
+@pytest.mark.parametrize("key", sorted(CAPS), ids="{0[0]}-{0[1]}".format)
+def test_non_integer_is_refused_before_any_work(key, no_work):
+    # a float cap passes the range checks, and a closure that stops at len(queue) == cap then runs to its end
+    call, floor, name = CAPS[key]
+    for value in (floor + 3.5, float(floor + 3), str(floor + 3)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call(value)
+
+
+@pytest.mark.parametrize("make", [gen_moore, lambda n: RandomNfaSpec(n=n)], ids=["gen_moore", "RandomNfaSpec"])
+def test_non_integer_size_is_refused(make):
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        make(4.0)
 
 
 def test_range_cap_above_ceiling_is_refused_before_any_work(no_work):

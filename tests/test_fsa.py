@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 
@@ -14,6 +15,7 @@ from detsize.fsa import (
     EPSILON,
     Fsa,
     ParseError,
+    _Record,
     accepts,
     complete_with_dead_state,
     fresh_state_name,
@@ -167,6 +169,21 @@ def test_record_contract(cls, fields, other):
         with pytest.raises(TypeError):
             cls(**dict(list(fields.items())[1:]))
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_records_hold_only_their_fields():
+    """No record caches a derived value: a cached_property writes the instance __dict__, which slows every later
+    attribute read of that record. Reading every property of a record leaves its attributes as they were."""
+    assert {cls for cls, _, _ in RECORDS} == set(_Record.__subclasses__())
+    for cls, fields, _ in RECORDS:
+        cached = [name for k in cls.__mro__ for name, v in vars(k).items() if isinstance(v, functools.cached_property)]
+        assert cached == [], cls
+        x = cls(**fields)
+        before = dict(vars(x))
+        for name in dir(cls):
+            if isinstance(getattr(cls, name), property):
+                getattr(x, name)
+        assert vars(x) == before, cls
 
 
 def test_record_repr_and_cached_fields():

@@ -87,13 +87,11 @@ class BoolMatrix(_Record):
         successor of the subset encoded by v."""
         if v < 0 or v >> self.n:
             raise ValueError("vector bits outside matrix dimension")
-        rows, low = self.rows, v & -v
-        acc = rows[low.bit_length() - 1] if v else 0  # a one-member subset maps to its row itself, not a copy
-        v ^= low
-        while v:
-            low = v & -v
-            acc |= rows[low.bit_length() - 1]
-            v ^= low
+        rows, acc = self.rows, 0
+        while v:  # from the top member down: one bit_length and one shift each, no negation of a wide vector
+            top = v.bit_length() - 1
+            acc = acc | rows[top] if acc else rows[top]  # a one-member subset maps to its row itself, not a copy
+            v ^= 1 << top
         return acc
 
     def power(self, k: int) -> "BoolMatrix":
@@ -108,10 +106,10 @@ def transition_matrices(a: Fsa) -> dict[str, BoolMatrix]:
     automaton must be epsilon-free. All rows whose one successor is j are one int, so a wide DFA holds one per target."""
     if a.has_epsilon:
         raise ValueError("automaton has epsilon transitions; remove them first")
-    idx = a.state_index
-    rows, unit = {sym: [0] * a.n for sym in a.alphabet}, {}  # unit: the one row object of each target met
+    idx, unit = a.state_index, [1 << j for j in range(a.n)]  # unit[j]: the one row object whose one successor is j
+    rows = {sym: [0] * a.n for sym in a.alphabet}
     for src, sym, dst in a.transitions:
-        row, i, bit = rows[sym], idx[src], unit.get(dst) or unit.setdefault(dst, 1 << idx[dst])
+        row, i, bit = rows[sym], idx[src], unit[idx[dst]]
         row[i] = row[i] | bit if row[i] else bit
     return {sym: BoolMatrix(a.n, tuple(r)) for sym, r in rows.items()}
 

@@ -4,7 +4,6 @@ universality checks, and state complexity."""
 from __future__ import annotations
 
 import weakref
-from itertools import compress
 from typing import Callable
 
 from .boolmat import BoolMatrix, image_table, transition_matrices
@@ -53,14 +52,19 @@ class SubsetAutomaton(_Record):
     @property
     def names(self) -> tuple[str, ...]:
         """``S<i>=`` and the base states of subset i, comma-separated in base
-        index order, as in ``S0=q1,q2``. The bin() digits are read from the
-        lowest member up, so a name costs its span, not the base's size."""
-        states, bit = self.base.states, bytes.maketrans(b"01", b"\0\1")  # bin() digits as bytes 0 and 1
-        names = []
+        index order, as in ``S0=q1,q2``. A name joins the members of each non-zero
+        byte of its span, and each byte index and value is joined once per call,
+        so a name costs its span, not the base's size."""
+        states, names = self.base.states, []
+        parts = [{} for _ in range(0, len(states), 8)]  # parts[k][b]: the members of byte k when it holds b
         for i, mask in enumerate(self.subsets):
-            low = (mask ^ (mask - 1)).bit_length() - 1  # the lowest member; 0 for the empty subset
-            digits = bin(mask >> low)[:1:-1].encode().translate(bit)
-            names.append(f"S{i}={','.join(compress(states[low:low + len(digits)], digits))}")
+            low = ((mask ^ (mask - 1)).bit_length() - 1) >> 3  # the lowest member's byte; 0 for the empty subset
+            members = []
+            for k, b in enumerate((mask >> 8 * low).to_bytes((mask.bit_length() + 7 >> 3) - low, "little"), low):
+                if b:
+                    members.append(parts[k].get(b) or parts[k].setdefault(b, ",".join(
+                        [q for j, q in enumerate(states[8 * k:8 * k + 8]) if b >> j & 1])))
+            names.append(f"S{i}={','.join(members)}")
         return tuple(names)
 
     def accepts(self, word: Word) -> bool:
@@ -107,13 +111,14 @@ def _subset_steps(a: Fsa, alphabet: tuple[str, ...], mats: dict[str, BoolMatrix]
 
 
 def _rent(steps: weakref.ref, k: int, m: BoolMatrix, price: int) -> Callable[[int], int]:
-    """``m.apply``, counting its calls; the ``price``-th call puts the image table of ``m`` in ``steps()[k]``."""
+    """``m.apply``, counting calls; the ``price``-th call puts ``m``'s image table in ``steps()[k]`` and reads it."""
     def step(subset: int) -> int:
         nonlocal price
         price -= 1
-        if not price:
-            steps()[k] = image_table(m).__getitem__
-        return m.apply(subset)
+        if price:
+            return m.apply(subset)
+        steps()[k] = table = image_table(m).__getitem__
+        return table(subset)
     return step
 
 

@@ -148,6 +148,28 @@ class TestApply:
             got = m.apply(v)
             assert frozenset(names[i] for i in range(n) if (got >> i) & 1) == expected
 
+    @pytest.mark.parametrize("n", [17, 64, 200, 20_000])
+    def test_wide_vectors_match_a_union_over_members(self, n):
+        # rows from a small pool, so the 20,000-state matrix stays small; the
+        # top row is zero, and so is about a quarter of the others
+        rng = random.Random(n)
+        pool = [sum(1 << rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(32)]
+        rows = [rng.choice(pool) if rng.random() < 0.75 else 0 for _ in range(n - 1)] + [0]
+        m = BoolMatrix(n, rows)
+        members = [0, 1, n // 2, n - 2, n - 1] + rng.sample(range(n), 5)
+        vectors = [0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+        vectors += [1 << j for j in members]
+        vectors += [(1 << j) | sum(1 << rng.randrange(j) for _ in range(3)) for j in members if j and not rows[j]]
+        vectors += [sum(1 << j for j in rng.sample(range(n), 4)) for _ in range(4)]
+        for v in vectors:
+            expected = 0
+            for j, digit in enumerate(reversed(format(v, "b"))):
+                if digit == "1":
+                    expected |= rows[j]
+            assert m.apply(v) == expected
+        for j in members:
+            assert m.apply(1 << j) is rows[j] or not rows[j]
+
     @given(matrices(max_n=6), matrices(max_n=6), st.integers(0, 63))
     @settings(max_examples=80, deadline=None)
     def test_application_composes_with_product(self, a, b, v):

@@ -24,7 +24,7 @@ from detsize.bounds import (
     subset_complexity,
     unary_monoid_bounds,
 )
-from detsize.determinize import distinguishing_word, subset_construct, universality_witness
+from detsize.determinize import distinguishing_word, state_complexity, subset_construct, universality_witness
 from detsize.fsa import Fsa
 from detsize.generators import (
     RandomNfaSpec,
@@ -635,6 +635,16 @@ class TestTablesPayForThemselves:
         built = _counting_tables(monkeypatch)
         assert universality_witness(gen_moore(4)) == ()
         assert built == []
+
+    def test_buying_step_reads_its_table(self, monkeypatch):
+        # up to 5 states the first step buys the table and answers from it, so
+        # no step of a 4-state automaton goes through BoolMatrix.apply
+        applied = []
+        apply = BoolMatrix.apply
+        monkeypatch.setattr(BoolMatrix, "apply", lambda m, v: applied.append(v) or apply(m, v))
+        built = _counting_tables(monkeypatch)
+        assert state_complexity(gen_moore(4)) == 16
+        assert applied == [] and len(built) == 2
 
     def test_dense_input_buys_each_table_once(self, monkeypatch):
         built = _counting_tables(monkeypatch)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,34 +154,56 @@ class TestSubsetToDfa:
         d = subset_to_dfa(subset_construct(gen_moore(2)))
         assert d.states == ("S0=q1", "S1=q2", "S2=q1,q2", "S3=")
 
+    @staticmethod
+    def _named(base, masks):
+        return SubsetAutomaton(base, tuple(masks), ((),) * len(masks), (False,) * len(masks)).names
+
     def test_names_match_bit_by_bit_oracle(self):
         n = 70
         rng = random.Random(70)
         base = Fsa(states=tuple(f"p{i}" for i in range(n)))
         masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
         masks += [sum(1 << k for k in rng.sample(range(n), rng.randint(1, 6))) for _ in range(200)]
-        s = SubsetAutomaton(base, tuple(masks), ((),) * len(masks), (False,) * len(masks))
         want = tuple(f"S{i}=" + ",".join(base.states[k] for k in _bits(m)) for i, m in enumerate(masks))
-        assert s.names == want
+        assert self._named(base, masks) == want
 
-    def test_names_read_digits_over_the_span_only(self, monkeypatch):
-        # a name costs its subset's span (highest member - lowest + 1), not the
-        # base's size: singletons of a wide base read one digit each
-        n = 20_000
+    @pytest.mark.parametrize("n", [70, 20_000])
+    def test_names_across_byte_boundaries(self, n):
+        # masks that end on, start on and straddle each byte boundary (ten of
+        # them on the wide base), and dense masks, against a name built one member at a time
+        rng = random.Random(n)
         base = Fsa(states=tuple(f"p{i}" for i in range(n)))
-        masks = [0, 1, 1 << (n - 1), 0b1011 << 9_000] + [1 << k for k in range(0, n, 7)]
-        s = SubsetAutomaton(base, tuple(masks), ((),) * len(masks), (False,) * len(masks))
+        masks = [(1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+        for edge in range(8, n, 8) if n < 1000 else rng.sample(range(8, n, 8), 10):
+            masks += [1 << (edge - 1), 1 << edge, 0b11 << (edge - 1), 0x1ff << (edge - 1) & (1 << n) - 1,
+                      (1 << edge) - 1, ((1 << n) - 1) ^ ((1 << edge) - 1), 0b101 << (edge - 2)]
+        masks += [masks[-1] | (1 << (n - 1)), 0]  # repeats a byte index and value already joined
+        digits = [reversed(format(m, "b")) for m in masks]  # bit k of a mask is its digit k from the right
+        want = tuple(f"S{i}=" + ",".join(q for q, d in zip(base.states, ds) if d == "1") for i, ds in enumerate(digits))
+        assert self._named(base, masks) == want
+
+    def test_names_read_digits_over_the_span_only(self):
+        # a name costs its subset's span (highest member - lowest + 1), not the
+        # base's size: it reads only the state names of the base-256 digits its
+        # span covers, so singletons of a wide base read at most one digit's names
+        n = 20_000
         read = []
 
-        def counting_bin(x: int) -> str:
-            read.append(x.bit_length())
-            return bin(x)
+        class Reading(tuple):
+            def __getitem__(self, key):
+                read.extend(range(*key.indices(len(self))) if isinstance(key, slice) else [key])
+                return super().__getitem__(key)
 
-        monkeypatch.setattr("detsize.determinize.bin", counting_bin, raising=False)
-        names = s.names
-        spans = [m.bit_length() - (m & -m).bit_length() + 1 if m else 1 for m in masks]
-        assert len(read) == len(masks)
-        assert [r for r, span in zip(read, spans) if r > span] == []
+            def __iter__(self):  # a walk over the whole base reads every name
+                read.extend(range(len(self)))
+                return super().__iter__()
+
+        base = SimpleNamespace(states=Reading(f"p{i}" for i in range(n)))
+        masks = [0, 1, 1 << (n - 1), 0b1011 << 9_000] + [1 << k for k in range(0, n, 7)]
+        names = self._named(base, masks)
+        covered = [range(8 * ((m & -m).bit_length() - 1 >> 3), m.bit_length() + 7 & ~7) for m in masks if m]
+        assert len(read) <= sum(map(len, covered))
+        assert set(read) <= set().union(*covered)
         assert names[:4] == ("S0=", "S1=p0", f"S2=p{n - 1}", "S3=p9000,p9001,p9003")
         assert names[4 + 100] == "S104=p700"
 

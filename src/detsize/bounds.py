@@ -408,7 +408,7 @@ def report_to_dict(report: BoundReport) -> dict:
     for key, sub, field in _REPORT_TREE:
         value = getattr(report, field)
         tree.setdefault(key, {})[sub] = list(value) if isinstance(value, tuple) else value
-    tree["per_symbol"] = [dict(vars(s)) for s in report.per_symbol]  # the four fields, in field order
+    tree["per_symbol"] = [dict(zip(s.__match_args__, s._values())) for s in report.per_symbol]  # not vars(s): see _Record._set
     return tree
 
 
@@ -421,8 +421,28 @@ def report_from_dict(data: dict) -> BoundReport:
     return BoundReport(n=data["n"], alphabet=tuple(data["alphabet"]), per_symbol=per_symbol, **fields)
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes a str with under ensure_ascii=True
+# json.dumps(indent=2)'s text of a report whose leaves are all null or [], and of one per_symbol entry; a %s per leaf
+_REPORT_LAYOUT, _SYMBOL_LAYOUT = (text.replace("null", "%s").replace("[]", "%s") for text in (
+    json.dumps(report_to_dict(BoundReport(None, (), *[None] * 12, ())), indent=2) + "\n",
+    json.dumps(dict.fromkeys(SymbolStats.__match_args__), indent=2).replace("\n", "\n    "),
+))
+
+
+def _leaf(value, pad: str) -> str:  # None, an int, a str or a sequence of strs, as json.dumps(indent=2) writes it
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)  # past sys.get_int_max_str_digits() it raises ValueError, as json's own call does
+    return "null" if value is None else f"[{pad}  {f',{pad}  '.join(map(_quote, value))}{pad}]" if value else "[]"
+
+
 def report_to_json(report: BoundReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """Exactly ``json.dumps(report_to_dict(report), indent=2) + "\\n"``: a layout built once, filled with the leaves."""
+    symbols = ",\n    ".join(_SYMBOL_LAYOUT % tuple([_leaf(v, "") for v in s._values()]) for s in report.per_symbol)
+    values = [_leaf(getattr(report, field), "\n    ") for _, _, field in _REPORT_TREE]
+    per_symbol = f"[\n    {symbols}\n  ]" if symbols else "[]"
+    return _REPORT_LAYOUT % (_leaf(report.n, ""), _leaf(report.alphabet, "\n  "), *values, per_symbol)
 
 
 def report_from_json(text: str) -> BoundReport:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from detsize.boolmat import MAX_RANGE_CAP, BoolMatrix, RangeCapExceeded, image_table, transition_matrices
 from detsize.bounds import (
+    BoundReport,
+    SymbolStats,
     _Analysis,
     _closure,
     _split_preference,
@@ -575,6 +579,72 @@ class TestFullReport:
             universality_witness(gen_moore(16), max_states=0)
         with pytest.raises(ValueError, match="max_states must be at least 1"):
             distinguishing_word(gen_moore(16), gen_moore(16), max_states=0)
+
+
+def _dumps(report: BoundReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+class TestReportToJson:
+    """report_to_json writes the tree text itself: byte for byte what json.dumps(indent=2) makes of report_to_dict."""
+
+    # the default caps are also the corpus benchmark's; the tight ones make every nullable field None somewhere
+    @pytest.mark.parametrize("caps", [{}, {"monoid_cap": 2, "range_cap": 4, "max_states": 8}], ids=["default", "tight"])
+    def test_every_corpus_automaton(self, caps, random_nfas, unary_nfas, total_nfas, codeterministic_nfas, family_nfas):
+        for a in random_nfas + unary_nfas + total_nfas + codeterministic_nfas + family_nfas:
+            report = full_report(a, **caps)
+            assert report_to_json(report) == _dumps(report), a
+
+    def test_no_states_and_no_symbols(self):
+        for a in (Fsa(), Fsa(states=("q",))):
+            report = full_report(a)
+            assert report.alphabet == () and report.per_symbol == ()
+            assert report_to_json(report) == _dumps(report)
+            assert '"alphabet": [],' in report_to_json(report) and '"per_symbol": []' in report_to_json(report)
+
+    def test_symbols_json_escapes(self):
+        # a quote, a backslash, a Latin-1 letter and a symbol outside the BMP, which json writes as a surrogate pair
+        syms = ['"', "\\", "\u00e9", "\U0001d11e"]
+        a = Fsa.make([("p", s, "q") for s in syms] + [("q", s, "p") for s in syms[::2]], initial=["p"], final=["q"])
+        report = full_report(a)
+        text = report_to_json(report)
+        assert text == _dumps(report)
+        assert '"\\""' in text and '"\\\\"' in text and '"\\u00e9"' in text and '"\\ud834\\udd1e"' in text
+        assert text.isascii() and report_from_json(text) == report
+
+    def test_every_nullable_field_none(self):
+        report = full_report(gen_moore(4), max_states=1, range_cap=0, monoid_cap=1)
+        assert None is report.subset_size is report.monoid_bound is report.range_bound is report.subset_complexity
+        assert None is report.subset_split is report.all_but_one_target is report.all_but_one_estimate
+        assert all(s.range_size is None for s in report.per_symbol)
+        assert report_to_json(report) == _dumps(report)
+
+    def test_tuples_and_lists(self):
+        # report_from_json gives tuples; a report built by hand may hold lists
+        report = report_from_json(report_to_json(full_report(gen_modified_moore(6))))
+        assert isinstance(report.subset_split, tuple) and report_to_json(report) == _dumps(report)
+        stats = [SymbolStats("a", 2, 5, 3), SymbolStats("b", 1, None, 1)]
+        listed = BoundReport(3, ["a", "b"], 8, 10, 20, 100, 14, 20, 14, ["a", "b"], 30, "b", 400, 2, stats)
+        assert report_to_json(listed) == _dumps(listed)
+        assert '"split": [\n      "a",\n      "b"\n    ]' in report_to_json(listed)
+
+    def test_long_int_field(self, int_str_limit):
+        report = full_report(gen_moore(3))
+        long = BoundReport(*report._values()[:12], 10**4_999, *report._values()[13:])  # a 5,000-digit estimate
+        int_str_limit(0)
+        assert report_to_json(long) == _dumps(long)
+        int_str_limit(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError):
+            _dumps(long)
+        with pytest.raises(ValueError):
+            report_to_json(long)
+
+    def test_to_dict_keeps_the_symbol_stats_inline(self):
+        # building a __dict__ from vars(s) would slow every later read of the record on CPython 3.11+
+        report = full_report(gen_moore(4))
+        before = [[type(x) for x in gc.get_referents(s)] for s in report.per_symbol]
+        report_to_dict(report)
+        assert [[type(x) for x in gc.get_referents(s)] for s in report.per_symbol] == before
 
 
 def _outcomes(autos: list[Fsa]) -> list[tuple]:
